@@ -65,6 +65,8 @@ _INTEGRANDS = ("ones", "time", "driver", "driver_left_limit")
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -186,6 +188,17 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _thread_count(value, source: str) -> int:
+    """A worker-thread count from the config, ``--threads`` or ``LEVYINT_THREADS``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
+    if n < 1 or (isinstance(value, float) and n != value):
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return n
+
+
 def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -200,9 +213,9 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     try:
         seed = int(raw.get("seed", 0))
         paths = int(raw.get("paths", 1000))
-        threads = int(raw.get("threads", 1))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar field: {exc}") from exc
+    threads = _thread_count(raw.get("threads", 1), "threads")
     if paths < 1:
         raise ConfigError(f"paths must be >= 1, got {paths}")
     tolerances = resolve(raw.get("tolerances"))
@@ -350,52 +363,59 @@ def _run_converge(cfg: ExperimentConfig) -> RunResult:
 def _spde_problem_from_config(cfg: dict) -> tuple[SpdeProblem, float, int]:
     _require_keys(cfg, {"eigenvalues", "heat_dim", "h0", "alpha", "sigmas",
                         "drivers", "tol", "max_iter"}, "spde")
-    if "heat_dim" in cfg:
-        op = heat_operator(int(cfg["heat_dim"]))
-    elif "eigenvalues" in cfg:
-        op = SpectralOperator(np.asarray(cfg["eigenvalues"], dtype=float))
-    else:
-        raise ConfigError("spde section needs 'heat_dim' or 'eigenvalues'")
-    dim = op.dim
-    h0 = np.asarray(cfg.get("h0", np.zeros(dim)), dtype=float)
-
-    alpha_cfg = cfg.get("alpha", {"kind": "none"})
-    _require_keys(alpha_cfg, {"kind", "coefficient"}, "spde.alpha")
-    if alpha_cfg.get("kind", "none") == "none":
-        alpha, alpha_lip = None, 0.0
-    elif alpha_cfg["kind"] == "linear":
-        a = float(alpha_cfg["coefficient"])
-        alpha, alpha_lip = scaled_identity(a), abs(a)
-    else:
-        raise ConfigError(f"unknown alpha kind {alpha_cfg.get('kind')!r}")
-
-    sigmas, sigma_lips, drivers = [], [], []
-    for i, s_cfg in enumerate(cfg.get("sigmas", [])):
-        _require_keys(s_cfg, {"kind", "value", "coefficient", "driver"}, f"spde.sigmas[{i}]")
-        kind = s_cfg.get("kind")
-        if kind == "constant":
-            value = np.asarray(s_cfg.get("value", np.ones(dim)), dtype=float)
-            if value.ndim == 0:
-                value = np.full(dim, float(value))
-            sigmas.append(constant_map(value))
-            sigma_lips.append(0.0)
-        elif kind == "linear":
-            a = float(s_cfg["coefficient"])
-            sigmas.append(scaled_identity(a))
-            sigma_lips.append(abs(a))
+    try:
+        if "heat_dim" in cfg:
+            op = heat_operator(int(cfg["heat_dim"]))
+        elif "eigenvalues" in cfg:
+            op = SpectralOperator(np.asarray(cfg["eigenvalues"], dtype=float))
         else:
-            raise ConfigError(f"unknown sigma kind {kind!r}")
-        drivers.append(driver_from_config(s_cfg.get("driver", {"kind": "brownian"})))
-    problem = SpdeProblem(
-        operator=op,
-        h0=h0,
-        alpha=alpha,
-        alpha_lipschitz=alpha_lip,
-        sigmas=tuple(sigmas),
-        sigma_lipschitz=tuple(sigma_lips),
-        drivers=tuple(drivers),
-    )
-    return problem, float(cfg.get("tol", 1e-6)), int(cfg.get("max_iter", 50))
+            raise ConfigError("spde section needs 'heat_dim' or 'eigenvalues'")
+        dim = op.dim
+        h0 = np.asarray(cfg.get("h0", np.zeros(dim)), dtype=float)
+
+        alpha_cfg = cfg.get("alpha", {"kind": "none"})
+        _require_keys(alpha_cfg, {"kind", "coefficient"}, "spde.alpha")
+        if alpha_cfg.get("kind", "none") == "none":
+            alpha, alpha_lip = None, 0.0
+        elif alpha_cfg["kind"] == "linear":
+            a = float(alpha_cfg["coefficient"])
+            alpha, alpha_lip = scaled_identity(a), abs(a)
+        else:
+            raise ConfigError(f"unknown alpha kind {alpha_cfg.get('kind')!r}")
+
+        sigmas, sigma_lips, drivers = [], [], []
+        for i, s_cfg in enumerate(cfg.get("sigmas", [])):
+            _require_keys(s_cfg, {"kind", "value", "coefficient", "driver"}, f"spde.sigmas[{i}]")
+            kind = s_cfg.get("kind")
+            if kind == "constant":
+                value = np.asarray(s_cfg.get("value", np.ones(dim)), dtype=float)
+                if value.ndim == 0:
+                    value = np.full(dim, float(value))
+                if value.shape != (dim,):
+                    raise ConfigError(f"spde.sigmas[{i}].value must have {dim} entries")
+                sigmas.append(constant_map(value))
+                sigma_lips.append(0.0)
+            elif kind == "linear":
+                a = float(s_cfg["coefficient"])
+                sigmas.append(scaled_identity(a))
+                sigma_lips.append(abs(a))
+            else:
+                raise ConfigError(f"unknown sigma kind {kind!r}")
+            drivers.append(driver_from_config(s_cfg.get("driver", {"kind": "brownian"})))
+        problem = SpdeProblem(
+            operator=op,
+            h0=h0,
+            alpha=alpha,
+            alpha_lipschitz=alpha_lip,
+            sigmas=tuple(sigmas),
+            sigma_lipschitz=tuple(sigma_lips),
+            drivers=tuple(drivers),
+        )
+        return problem, float(cfg.get("tol", 1e-6)), int(cfg.get("max_iter", 50))
+    except ToolkitError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad spde section: {exc!r}") from exc
 
 
 def _run_spde(cfg: ExperimentConfig) -> RunResult:
@@ -532,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", default=None,
                        help="worker threads for path simulation")
     return parser
 
@@ -547,12 +567,10 @@ def main(argv: list[str] | None = None) -> int:
             raw["paths"] = args.paths
         if args.out is not None:
             raw["out"] = args.out
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("LEVYINT_THREADS")
-            threads = int(env) if env else None
-        if threads is not None:
-            raw["threads"] = threads
+        if args.threads is not None:
+            raw["threads"] = _thread_count(args.threads, "--threads")
+        elif os.environ.get("LEVYINT_THREADS"):
+            raw["threads"] = _thread_count(os.environ["LEVYINT_THREADS"], "LEVYINT_THREADS")
         config = parse_config(raw, args.experiment)
         return run(config)
     except ConfigError as exc:

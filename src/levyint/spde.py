@@ -6,7 +6,9 @@ the exact exponential diag(e^{-mu_k t}) and the mild form
     r_t = S_t h0 + int_0^t S_{t-s} alpha(s, r_s) ds
                + sum_i int_0^t S_{t-s} sigma_i(s, r_s) dX^i_s
 
-is discretized with left-endpoint sums and exact per-interval decay factors.
+is discretized with left-endpoint sums and exact per-interval decay factors;
+the stochastic convolution and every Picard sweep share that one recursion,
+and plain Picard is the one-block case of the block-restarted solver.
 Picard iteration on the whole curve converges in sup-L2; on a finite grid
 the left-endpoint integral operator is nilpotent, so iterates stabilize
 exactly once information has propagated across the grid.
@@ -19,7 +21,7 @@ and spot-checked on random pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .ensembles import (
     ModulusReport,
     PathEnsemble,
     TimeGrid,
-    _chunks,
     _pairing,
     ms_continuity_modulus,
 )
@@ -184,7 +185,6 @@ def stochastic_convolution(
         raise ConsistencyError("driver must be scalar")
     if phi.dim != op.dim:
         raise ConsistencyError(f"integrand dim {phi.dim} != operator dim {op.dim}")
-    n = _pairing(phi, x)
     grid = phi.grid
     decay = np.exp(-np.outer(grid.dt, op.eigenvalues))  # (n_steps, dim)
     # time-major internally: contiguous per-step slices keep the recursion
@@ -192,13 +192,10 @@ def stochastic_convolution(
     # unchanged by the layout
     pv = np.ascontiguousarray(np.transpose(phi.values, (1, 0, 2)))
     dx = np.ascontiguousarray(np.diff(x.values[:, :, 0], axis=1).T)
-    rows = max(phi.n_paths, x.n_paths)
-    out = np.empty((grid.n_points, rows, op.dim))
+    out = np.empty((grid.n_points, _pairing(phi, x), op.dim))
     out[0] = 0.0
-    state = out[0].copy()
-    for j in range(grid.n_intervals):
-        state = decay[j] * (state + pv[j] * dx[j][:, None])
-        out[j + 1] = state
+    for _ in _sweep(decay, out, lambda j: pv[j] * dx[j][:, None]):
+        pass
     return PathEnsemble(
         values=np.ascontiguousarray(np.transpose(out, (1, 0, 2))),
         grid=grid,
@@ -244,52 +241,27 @@ def mild_solution_picard(
 ) -> tuple[PathEnsemble, PicardReport]:
     """Solve the mild fixed-point equation by Picard iteration.
 
-    The drivers are simulated once (one derived seed per driver) and shared
-    by every iterate, so successive iterates are coupled by common random
-    numbers.  Each iterate applies the one-step recursion
+    This is the one-block case of ``mild_solution_restarted``.  The drivers
+    are simulated once (one derived seed per driver) and shared by every
+    iterate, so successive iterates are coupled by common random numbers.
+    Each iterate applies the one-step recursion
 
         r_{j+1} = S_{dt_j} (r_j + alpha(t_j, prev_j) dt_j
                                  + sum_i sigma_i(t_j, prev_j) dX^i_j)
 
     with r_0 = h0, which telescopes to the left-endpoint mild sums with
-    exact semigroup factors.  Iteration stops when the sup-L2 distance
-    between consecutive iterates falls below ``tol``; non-convergence within
-    ``max_iter`` is reported, not raised.
+    exact semigroup factors; ``stochastic_convolution`` runs the same
+    recursion.  Iteration stops when the sup-L2 distance between consecutive
+    iterates falls below ``tol``; non-convergence within ``max_iter`` is
+    reported, not raised.
 
     Memory scales as n_paths * n_points * dim; chunk large ensembles with
     ``path_offset`` (per-path streams make chunked runs reproduce the
     corresponding slice of a single large run).
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
-    spot_check_lipschitz(problem, grid.horizon, seed=seed)
-
-    increments, continuous = _simulate_increments(
-        problem, grid, n_paths, seed, path_offset, threads
-    )
-    init = np.broadcast_to(problem.h0, (n_paths, problem.dim)).copy()
-    vals, distances, converged = _picard_window(
-        problem, grid.points, init, increments, tol, max_iter
-    )
-    solution = PathEnsemble(
-        values=np.ascontiguousarray(np.transpose(vals, (1, 0, 2))),
-        grid=grid,
-        adapted=True,
-        continuous=continuous,
-        meta={
-            "drivers": tuple(problem.drivers),
-            "seed": int(seed),
-            "path_offset": int(path_offset),
-        },
-    )
-    report = PicardReport(
-        distances=tuple(distances),
-        iterations=len(distances),
-        converged=converged,
-        residual=distances[-1] if distances else 0.0,
-        tolerance=tol,
+    solution, (report,) = mild_solution_restarted(
+        problem, grid, n_paths, seed, tol=tol, max_iter=max_iter, n_blocks=1,
+        path_offset=path_offset, threads=threads,
     )
     return solution, report
 
@@ -314,38 +286,34 @@ def mild_solution_restarted(
     whole grid, so the chained solution solves the same discrete fixed-point
     equation as a fully converged single-block run.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
     if not 1 <= n_blocks <= grid.n_intervals:
         raise ParameterError(f"n_blocks must lie in [1, {grid.n_intervals}]")
     spot_check_lipschitz(problem, grid.horizon, seed=seed)
 
-    increments, continuous = _simulate_increments(
-        problem, grid, n_paths, seed, path_offset, threads
-    )
+    increments = []
+    continuous = True
+    for i, spec in enumerate(problem.drivers):
+        ens = simulate_paths(
+            spec, grid, n_paths, child_seed(seed, i), path_offset=path_offset, threads=threads
+        )
+        # increments[i][j] is the contiguous path vector of step j
+        increments.append(np.ascontiguousarray(np.diff(ens.values[:, :, 0], axis=1).T))
+        continuous = continuous and ens.continuous
+        del ens
     bounds = np.linspace(0, grid.n_intervals, n_blocks + 1).round().astype(int)
     vals = np.empty((grid.n_points, n_paths, problem.dim))
     vals[0] = problem.h0
-    reports = []
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        window_vals, distances, converged = _picard_window(
-            problem,
-            grid.points[b0 : b1 + 1],
-            vals[b0].copy(),
-            [inc[b0:b1] for inc in increments],
-            tol,
-            max_iter,
+    reports = tuple(
+        _picard_window(
+            problem, grid.points[b0 : b1 + 1], vals[b0 : b1 + 1],
+            [inc[b0:b1] for inc in increments], tol, max_iter,
         )
-        vals[b0 : b1 + 1] = window_vals
-        reports.append(
-            PicardReport(
-                distances=tuple(distances),
-                iterations=len(distances),
-                converged=converged,
-                residual=distances[-1] if distances else 0.0,
-                tolerance=tol,
-            )
-        )
+        for b0, b1 in zip(bounds[:-1], bounds[1:])
+    )
     solution = PathEnsemble(
         values=np.ascontiguousarray(np.transpose(vals, (1, 0, 2))),
         grid=grid,
@@ -358,79 +326,76 @@ def mild_solution_restarted(
             "n_blocks": int(n_blocks),
         },
     )
-    return solution, tuple(reports)
+    return solution, reports
 
 
-def _simulate_increments(
-    problem: SpdeProblem,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    path_offset: int,
-    threads: int,
-) -> tuple[list[np.ndarray], bool]:
-    """One ensemble per driver, reduced to time-major increment arrays."""
-    increments = []
-    continuous = True
-    for i, spec in enumerate(problem.drivers):
-        ens = simulate_paths(
-            spec, grid, n_paths, child_seed(seed, i), path_offset=path_offset, threads=threads
-        )
-        # increments[i][j] is the contiguous path vector of step j
-        increments.append(np.ascontiguousarray(np.diff(ens.values[:, :, 0], axis=1).T))
-        continuous = continuous and ens.continuous
-        del ens
-    return increments, continuous
+def _sweep(
+    decay: np.ndarray, out: np.ndarray, drive: Callable[[int], np.ndarray]
+) -> Iterator[int]:
+    """The mild recursion out[j+1] = decay[j] * (out[j] + drive(j)), in place.
+
+    ``out`` is time-major with ``out[0]`` set by the caller; each index is
+    yielded as soon as it is filled.
+    """
+    for j in range(decay.shape[0]):
+        np.add(out[j], drive(j), out=out[j + 1])
+        np.multiply(decay[j], out[j + 1], out=out[j + 1])
+        yield j + 1
 
 
 def _picard_window(
     problem: SpdeProblem,
     pts: np.ndarray,
-    init: np.ndarray,
+    vals: np.ndarray,
     increments: list[np.ndarray],
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, list[float], bool]:
-    """Picard iteration on one window, starting from per-path initial values.
+) -> PicardReport:
+    """Picard iteration on one window, written into ``vals`` in place.
 
-    ``pts`` carries absolute times (coefficients see them), ``init`` has
-    shape (n_paths, dim).  Iterates are held time-major and the sup-L2
-    iterate distance is accumulated inside the recursion loop.
+    ``pts`` carries absolute times (coefficients see them); ``vals`` is the
+    time-major window (n_points, n_paths, dim) with ``vals[0]`` holding the
+    initial values.  Iterates alternate between ``vals`` and one scratch
+    buffer, and the sup-L2 iterate distance is accumulated as the sweep runs.
     """
-    n_paths, dim = init.shape
-    n_steps = pts.size - 1
     dts = np.diff(pts)
     decay = np.exp(-np.outer(dts, problem.operator.eigenvalues))
-    flow = np.exp(-np.outer(pts - pts[0], problem.operator.eigenvalues))
 
-    prev = init[None, :, :] * flow[:, None, :]
+    # the flow-only initial guess; its row 0 is vals[0] * 1.0, so both
+    # buffers start every sweep from the same initial values
+    prev = vals[0] * np.exp(-np.outer(pts - pts[0], problem.operator.eigenvalues))[:, None, :]
+    nxt = vals
     distances: list[float] = []
-    converged = False
     for _ in range(max_iter):
-        nxt = np.empty_like(prev)
-        nxt[0] = init
-        state = nxt[0].copy()
-        sq_gap = np.zeros(pts.size)
-        for j in range(n_steps):
+        def drive(j: int) -> np.ndarray:
             t_j = float(pts[j])
-            drive = np.zeros((n_paths, dim))
+            d = np.zeros(vals.shape[1:])
             if problem.alpha is not None:
-                drive += problem.alpha(t_j, prev[j]) * dts[j]
-            for i, sigma in enumerate(problem.sigmas):
-                drive += sigma(t_j, prev[j]) * increments[i][j][:, None]
-            state = decay[j] * (state + drive)
-            nxt[j + 1] = state
-            gap = state - prev[j + 1]
-            sq_gap[j + 1] = np.einsum("pd,pd->", gap, gap)
-        d = float(np.sqrt(np.max(sq_gap) / n_paths))
+                d += problem.alpha(t_j, prev[j]) * dts[j]
+            for sigma, inc in zip(problem.sigmas, increments):
+                d += sigma(t_j, prev[j]) * inc[j][:, None]
+            return d
+
+        sq_gap = np.zeros(pts.size)
+        for k in _sweep(decay, nxt, drive):
+            gap = nxt[k] - prev[k]
+            sq_gap[k] = np.einsum("pd,pd->", gap, gap)
+        d = float(np.sqrt(np.max(sq_gap) / vals.shape[1]))
         if not np.isfinite(d):
             raise NumericError("Picard iterate diverged to NaN or overflow")
         distances.append(d)
-        prev = nxt
+        prev, nxt = nxt, prev
         if d < tol:
-            converged = True
             break
-    return prev, distances, converged
+    if prev is not vals:
+        vals[...] = prev
+    return PicardReport(
+        distances=tuple(distances),
+        iterations=len(distances),
+        converged=distances[-1] < tol,
+        residual=distances[-1],
+        tolerance=tol,
+    )
 
 
 def linear_variance_oracle(

@@ -148,6 +148,29 @@ class TestExitCodes:
         path = _write(tmp_path, "tight.json", cfg)
         assert main(["isometry", "--config", path]) == 1
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"alpha": {"kind": "linear"}},
+            {"sigmas": [{"kind": "linear", "driver": {"kind": "brownian"}}]},
+            {"tol": "x"},
+            {"heat_dim": "x"},
+            {"heat_dim": float("inf")},
+            {"alpha": 3},
+            {"sigmas": [{"kind": "constant", "value": [1.0, 2.0],
+                         "driver": {"kind": "brownian"}}]},
+            {"tol": float("nan")},
+            {"max_iter": 0},
+        ],
+        ids=["alpha_no_coefficient", "sigma_no_coefficient", "tol_text", "heat_dim_text",
+             "heat_dim_inf", "alpha_number", "sigma_value_length", "tol_nan", "max_iter0"],
+    )
+    def test_malformed_spde_section_is_config_error(self, tmp_path, patch):
+        cfg = _small_configs(tmp_path)["spde"]
+        cfg = {**cfg, "spde": {**cfg["spde"], **patch}}
+        path = _write(tmp_path, "bad_spde.json", cfg)
+        assert main(["spde", "--config", path]) == 2
+
     def test_unwritable_target_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
@@ -173,6 +196,25 @@ class TestThreadControl:
         assert main(["simulate", "--config", path, "--threads", "1"]) == 0
         stem = f"simulate-{parse_config({**cfg, 'experiment': 'simulate', 'threads': 1}).config_hash}"
         assert (tmp_path / f"{stem}.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [("env", "abc"), ("env", "0"), ("env", "2.5"), ("flag", "abc"), ("flag", "-3"),
+         ("config", -3), ("config", 2.5), ("config", None)],
+    )
+    def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys, source, value):
+        cfg = _small_configs(tmp_path)["simulate"]
+        flags = []
+        if source == "env":
+            monkeypatch.setenv("LEVYINT_THREADS", value)
+        elif source == "flag":
+            flags = ["--threads", value]
+        else:
+            cfg = {**cfg, "threads": value}
+        path = _write(tmp_path, "t3.json", cfg)
+        assert main(["simulate", "--config", path, *flags]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,6 +22,38 @@ def _linear_problem(dim, sigma=1.0, driver=None):
         sigma_lipschitz=(0.0,),
         drivers=(driver or li.Brownian(volatility=1.0),),
     )
+
+
+def _readme_problem():
+    """The README's spde example: ten heat modes, linear drift and noise."""
+    return li.SpdeProblem(
+        operator=li.heat_operator(10),
+        h0=np.eye(10)[0],
+        alpha=li.scaled_identity(0.25),
+        alpha_lipschitz=0.25,
+        sigmas=(li.scaled_identity(0.25),),
+        sigma_lipschitz=(0.25,),
+        drivers=(li.Brownian(volatility=1.0),),
+    )
+
+
+def _stiff_problem():
+    return li.SpdeProblem(
+        operator=li.heat_operator(3),
+        h0=np.ones(3),
+        alpha=li.scaled_identity(4.0),
+        alpha_lipschitz=4.0,
+        sigmas=(li.scaled_identity(0.5),),
+        sigma_lipschitz=(0.5,),
+        drivers=(li.CompensatedPoisson(rate=1.0),),
+    )
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 class TestSemigroup:
@@ -273,21 +307,10 @@ class TestPicard:
 
 
 class TestRestartedSolver:
-    def _stiff_problem(self):
-        return li.SpdeProblem(
-            operator=li.heat_operator(3),
-            h0=np.ones(3),
-            alpha=li.scaled_identity(4.0),
-            alpha_lipschitz=4.0,
-            sigmas=(li.scaled_identity(0.5),),
-            sigma_lipschitz=(0.5,),
-            drivers=(li.CompensatedPoisson(rate=1.0),),
-        )
-
     def test_matches_fully_converged_single_block(self):
         # every block solves the same discrete fixed-point equation, so the
         # chained solution agrees with an exhaustively iterated plain run
-        prob = self._stiff_problem()
+        prob = _stiff_problem()
         grid = li.TimeGrid.uniform(1.0, 48)
         full, rep = li.mild_solution_picard(prob, grid, 30, 8, tol=1e-13, max_iter=60)
         assert rep.converged
@@ -298,7 +321,7 @@ class TestRestartedSolver:
         assert np.max(np.abs(chained.values - full.values)) < 1e-12
 
     def test_blocks_converge_where_plain_budget_fails(self):
-        prob = self._stiff_problem()
+        prob = _stiff_problem()
         grid = li.TimeGrid.uniform(1.0, 64)
         _, rep = li.mild_solution_picard(prob, grid, 20, 9, tol=1e-8, max_iter=10)
         assert not rep.converged
@@ -308,7 +331,7 @@ class TestRestartedSolver:
         assert all(r.converged for r in reports)
 
     def test_bad_block_count_rejected(self):
-        prob = self._stiff_problem()
+        prob = _stiff_problem()
         grid = li.TimeGrid.uniform(1.0, 8)
         with pytest.raises(ParameterError):
             li.mild_solution_restarted(prob, grid, 4, 10, n_blocks=20)
@@ -320,6 +343,81 @@ class TestRestartedSolver:
         x = li.simulate_paths(prob.drivers[0], grid, 30_000, li.child_seed(8, 0))
         z = li.increment_independence_z(sol, x)
         assert np.max(np.abs(z)) < 4.5
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize("solve", [li.mild_solution_picard, li.mild_solution_restarted])
+    @pytest.mark.parametrize(
+        "settings",
+        [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0}],
+        ids=["tol0", "tol_negative", "tol_nan", "tol_inf", "max_iter0"],
+    )
+    def test_bad_settings_rejected(self, solve, settings):
+        grid = li.TimeGrid.uniform(1.0, 8)
+        with pytest.raises(ParameterError):
+            solve(_linear_problem(2), grid, 4, 1, **settings)
+
+
+class TestSolverEquivalence:
+    def test_one_block_restart_is_plain_picard(self):
+        prob = _readme_problem()
+        grid = li.TimeGrid.uniform(1.0, 32)
+        plain, rep = li.mild_solution_picard(prob, grid, 50, 3, tol=1e-4, max_iter=15)
+        chained, (block,) = li.mild_solution_restarted(
+            prob, grid, 50, 3, tol=1e-4, max_iter=15, n_blocks=1
+        )
+        assert np.array_equal(chained.values, plain.values)
+        assert block == rep
+
+    def test_path_offset_chunks_reproduce_slices(self):
+        # the discrete operator is nilpotent: after n_steps + 1 sweeps every
+        # path block sits exactly on the fixed point, whatever its size
+        prob = _readme_problem()
+        grid = li.TimeGrid.uniform(1.0, 16)
+        kw = dict(tol=1e-300, max_iter=grid.n_intervals + 2)
+        whole, rep = li.mild_solution_picard(prob, grid, 60, 5, **kw)
+        assert rep.converged
+        for lo, hi in ((0, 25), (25, 60), (41, 42)):
+            part, _ = li.mild_solution_picard(prob, grid, hi - lo, 5, path_offset=lo, **kw)
+            assert np.array_equal(part.values, whole.values[lo:hi])
+
+    def test_threads_leave_output_unchanged(self):
+        prob = _readme_problem()
+        grid = li.TimeGrid.uniform(1.0, 32)
+        one, rep1 = li.mild_solution_picard(prob, grid, 80, 6, tol=1e-4, max_iter=15)
+        two, rep2 = li.mild_solution_picard(prob, grid, 80, 6, tol=1e-4, max_iter=15, threads=2)
+        assert np.array_equal(one.values, two.values)
+        assert rep1 == rep2
+
+
+class TestGoldenDigests:
+    """sha256 of solver and convolution outputs, recorded before the solvers
+    shared one recursion kernel; a change here means the numbers changed."""
+
+    def test_readme_problem(self):
+        grid = li.TimeGrid.uniform(1.0, 64)
+        sol, rep = li.mild_solution_picard(_readme_problem(), grid, 200, 1, tol=1e-4, max_iter=15)
+        expect = "5333ffecbc41fc547fe8861322fa3e403ac363250c1b9d641d04537d79f74f2d"
+        assert _digest(sol.values, rep.distances) == expect
+
+    def test_restarted_stiff_problem(self):
+        grid = li.TimeGrid.uniform(1.0, 64)
+        sol, reps = li.mild_solution_restarted(
+            _stiff_problem(), grid, 20, 9, tol=1e-8, max_iter=10, n_blocks=8
+        )
+        expect = "47ff34a74667ffb559fed14acd40188482dacb74aafd4585df7af1737e4753d2"
+        assert _digest(sol.values, *(r.distances for r in reps)) == expect
+
+    def test_stochastic_convolution(self, grid100):
+        spec = li.CompensatedPoisson(rate=2.0)
+        x = li.simulate_paths(spec, grid100, 50, 2)
+        left = li.predictable_version(x).values
+        phi = li.PathEnsemble(
+            values=np.repeat(left, 3, axis=2) * [1.0, -0.5, 2.0], grid=grid100, adapted=True
+        )
+        conv = li.stochastic_convolution(li.heat_operator(3), phi, spec, x)
+        expect = "6f3e0d0afe728a405a966692472b8b60a06d04c801247512e6aa1729d641cb1e"
+        assert _digest(conv.values) == expect
 
 
 class TestSolverVariance:
