@@ -1,11 +1,12 @@
 """Batch experiment runner: config parsing, seeded execution, result emission.
 
 One experiment per process invocation.  A declarative JSON config names the
-experiment kind and its inputs; the runner re-validates preconditions at
-parse time, executes with fixed seeds, writes a columnar numeric file plus a
-manifest (config hash, tolerances actually applied, versions, check
-verdicts), and exits 0 on pass, 1 on check failure, 2 on config errors, and
-3 on numeric failure.  Identical configs produce byte-identical artifacts.
+experiment kind and its inputs; every section is parsed once, before any
+computation, so malformed input is a config error.  The runner executes with
+fixed seeds, writes a columnar numeric file plus a manifest (config hash,
+tolerances actually applied, versions, check verdicts), and exits 0 on pass,
+1 on check failure, 2 on config errors, and 3 on numeric failure.  Identical
+configs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from .drivers import (
     CompensatedPoisson,
     CompoundPoisson,
     ExponentialJumps,
-    JumpLaw,
     LevySpec,
     NormalJumps,
     TwoPointJumps,
@@ -34,7 +35,7 @@ from .drivers import (
     simulate_paths,
     standard_poisson,
 )
-from .ensembles import PathEnsemble, TimeGrid, ensemble_rows, second_moments, sup_l2_norm
+from .ensembles import PathEnsemble, TimeGrid, ensemble_rows, sup_l2_norm
 from .errors import ConfigError, NumericError, ToolkitError
 from .identities import poisson_identity_check
 from .predictability import ito_isometry_check, predictable_version
@@ -44,24 +45,26 @@ from .spde import (
     SpectralOperator,
     constant_map,
     heat_operator,
-    linear_variance_oracle,
     mild_solution_picard,
     scaled_identity,
     solution_diagnostics,
 )
 from .tolerances import resolve
 
-EXPERIMENTS = (
-    "simulate",
-    "integrate",
-    "isometry",
-    "poisson-identity",
-    "converge",
-    "spde",
-    "diagnostics",
-)
+_INTEGRANDS = {
+    "ones": lambda x: PathEnsemble.deterministic(x.grid, 1.0),
+    "time": lambda x: PathEnsemble.deterministic(x.grid, lambda t: t),
+    "driver": lambda x: x,
+    "driver_left_limit": predictable_version,
+}
 
-_INTEGRANDS = ("ones", "time", "driver", "driver_left_limit")
+# Config kinds of the driver specs and jump laws.  A kind's keys, defaults
+# and value types are its dataclass fields; "standard_poisson" is the one
+# driver kind that is not a class (see driver_from_config).
+_DRIVERS = {"brownian": Brownian, "compensated_poisson": CompensatedPoisson,
+            "compound_poisson": CompoundPoisson}
+_JUMP_LAWS = {"two_point": TwoPointJumps, "exponential": ExponentialJumps, "normal": NormalJumps}
+_KIND_OF = {cls: kind for table in (_DRIVERS, _JUMP_LAWS) for kind, cls in table.items()}
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -72,95 +75,148 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(value, where: str, positive: bool = False) -> float:
+    """A finite JSON number (never a boolean); ``positive`` also asks for > 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        sign = "positive " if positive else ""
+        raise ConfigError(f"{where} must be a finite {sign}number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where: str, positive: bool = False) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return np.array([_number(v, where, positive) for v in value], dtype=float)
+
+
+def _integer(value, where: str, minimum: int = 1) -> int:
+    """A count: a JSON integer or integral float >= minimum, never a boolean."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _text_integer(text: str, where: str) -> int:
+    """A count >= 1 from command-line or environment text."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return _integer(value, where)
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+_FIELD_READERS = {
+    "float": _number,
+    "bool": _flag,
+    "JumpLaw": lambda cfg, where: _spec_from_config(cfg, _JUMP_LAWS, where),
+}
+
+
+def _spec_from_config(cfg: dict, kinds: dict, where: str):
+    """The dataclass a config section names by its 'kind', read field by field."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where} needs a 'kind' out of {sorted(kinds)}, got {kind!r}")
+    types = {f.name: f.type for f in fields(kinds[kind])}
+    _require_keys(cfg, {"kind", *types}, where)
+    return kinds[kind](**{
+        name: _FIELD_READERS[types[name]](value, f"{where}.{name}")
+        for name, value in cfg.items() if name != "kind"
+    })
+
+
 def driver_from_config(cfg: dict) -> LevySpec:
     """Build a driver spec from its config-file form."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("driver section needs a 'kind'")
-    kind = cfg["kind"]
-    try:
-        if kind == "brownian":
-            _require_keys(cfg, {"kind", "volatility", "drift"}, "driver")
-            return Brownian(volatility=float(cfg.get("volatility", 1.0)),
-                            drift=float(cfg.get("drift", 0.0)))
-        if kind == "compensated_poisson":
-            _require_keys(cfg, {"kind", "rate", "drift"}, "driver")
-            return CompensatedPoisson(rate=float(cfg.get("rate", 1.0)),
-                                      drift=float(cfg.get("drift", 0.0)))
-        if kind == "standard_poisson":
-            _require_keys(cfg, {"kind", "rate"}, "driver")
-            return standard_poisson(rate=float(cfg.get("rate", 1.0)))
-        if kind == "compound_poisson":
-            _require_keys(cfg, {"kind", "rate", "jump_law", "compensated", "drift"}, "driver")
-            return CompoundPoisson(
-                rate=float(cfg.get("rate", 1.0)),
-                jump_law=_jump_law_from_config(cfg.get("jump_law", {"kind": "two_point"})),
-                compensated=bool(cfg.get("compensated", True)),
-                drift=float(cfg.get("drift", 0.0)),
-            )
-    except ToolkitError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad driver parameters: {exc}") from exc
-    raise ConfigError(f"unknown driver kind {kind!r}")
-
-
-def _jump_law_from_config(cfg: dict) -> JumpLaw:
-    kind = cfg.get("kind")
-    if kind == "two_point":
-        _require_keys(cfg, {"kind"}, "jump_law")
-        return TwoPointJumps()
-    if kind == "exponential":
-        _require_keys(cfg, {"kind", "rate"}, "jump_law")
-        return ExponentialJumps(rate=float(cfg["rate"]))
-    if kind == "normal":
-        _require_keys(cfg, {"kind", "loc", "scale"}, "jump_law")
-        return NormalJumps(loc=float(cfg.get("loc", 0.0)), scale=float(cfg["scale"]))
-    raise ConfigError(f"unknown jump law {kind!r}")
+    if isinstance(cfg, dict) and cfg.get("kind") == "standard_poisson":
+        _require_keys(cfg, {"kind", "rate"}, "driver")
+        return standard_poisson(rate=_number(cfg.get("rate", 1.0), "driver.rate"))
+    return _spec_from_config(cfg, _DRIVERS, "driver")
 
 
 def driver_to_config(spec: LevySpec) -> dict:
-    """Config-file form of a driver spec (inverse of driver_from_config)."""
-    if isinstance(spec, Brownian):
-        return {"kind": "brownian", "volatility": spec.volatility, "drift": spec.drift}
-    if isinstance(spec, CompensatedPoisson):
-        return {"kind": "compensated_poisson", "rate": spec.rate, "drift": spec.drift}
-    if isinstance(spec, CompoundPoisson):
-        law = spec.jump_law
-        if isinstance(law, TwoPointJumps):
-            law_cfg: dict = {"kind": "two_point"}
-        elif isinstance(law, ExponentialJumps):
-            law_cfg = {"kind": "exponential", "rate": law.rate}
-        elif isinstance(law, NormalJumps):
-            law_cfg = {"kind": "normal", "loc": law.loc, "scale": law.scale}
-        else:
-            raise ConfigError(f"unknown jump law {type(law).__name__}")
-        return {
-            "kind": "compound_poisson",
-            "rate": spec.rate,
-            "jump_law": law_cfg,
-            "compensated": spec.compensated,
-            "drift": spec.drift,
-        }
-    raise ConfigError(f"unknown driver spec {type(spec).__name__}")
+    """Config-file form of a driver spec or jump law (inverse of driver_from_config)."""
+    if type(spec) not in _KIND_OF:
+        raise ConfigError(f"no config kind for {type(spec).__name__}")
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    return {"kind": _KIND_OF[type(spec)],
+            **{name: driver_to_config(v) if is_dataclass(v) else v for name, v in values.items()}}
 
 
 def grid_from_config(cfg: dict) -> TimeGrid:
-    if not isinstance(cfg, dict):
-        raise ConfigError("grid section must be a mapping")
     _require_keys(cfg, {"horizon", "steps", "points"}, "grid")
-    try:
-        if "points" in cfg:
-            return TimeGrid(np.asarray(cfg["points"], dtype=float))
-        return TimeGrid.uniform(float(cfg["horizon"]), int(cfg["steps"]))
-    except ToolkitError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    if "points" in cfg:
+        return TimeGrid(_numbers(cfg["points"], "grid.points"))
+    return TimeGrid.uniform(_number(cfg["horizon"], "grid.horizon"),
+                            _integer(cfg["steps"], "grid.steps"))
+
+
+def _spde_from_config(cfg: dict) -> tuple[SpdeProblem, float, int]:
+    """The evolution problem of an ``spde`` section plus its Picard tol and max_iter."""
+    _require_keys(cfg, {"eigenvalues", "heat_dim", "h0", "alpha", "sigmas",
+                        "drivers", "tol", "max_iter"}, "spde")
+    if "heat_dim" in cfg:
+        op = heat_operator(_integer(cfg["heat_dim"], "spde.heat_dim"))
+    elif "eigenvalues" in cfg:
+        op = SpectralOperator(_numbers(cfg["eigenvalues"], "spde.eigenvalues"))
+    else:
+        raise ConfigError("spde section needs 'heat_dim' or 'eigenvalues'")
+    dim = op.dim
+    h0 = _numbers(cfg["h0"], "spde.h0") if "h0" in cfg else np.zeros(dim)
+
+    alpha_cfg = cfg.get("alpha", {"kind": "none"})
+    _require_keys(alpha_cfg, {"kind", "coefficient"}, "spde.alpha")
+    if alpha_cfg.get("kind", "none") == "none":
+        alpha, alpha_lip = None, 0.0
+    elif alpha_cfg["kind"] == "linear":
+        a = _number(alpha_cfg["coefficient"], "spde.alpha.coefficient")
+        alpha, alpha_lip = scaled_identity(a), abs(a)
+    else:
+        raise ConfigError(f"unknown alpha kind {alpha_cfg.get('kind')!r}")
+
+    sigmas, sigma_lips, drivers = [], [], []
+    for i, s_cfg in enumerate(cfg.get("sigmas", [])):
+        where = f"spde.sigmas[{i}]"
+        _require_keys(s_cfg, {"kind", "value", "coefficient", "driver"}, where)
+        kind = s_cfg.get("kind")
+        if kind == "constant":
+            value = s_cfg.get("value", 1.0)
+            value = (_numbers(value, f"{where}.value") if isinstance(value, list)
+                     else np.full(dim, _number(value, f"{where}.value")))
+            if value.shape != (dim,):
+                raise ConfigError(f"{where}.value must have {dim} entries")
+            sigmas.append(constant_map(value))
+            sigma_lips.append(0.0)
+        elif kind == "linear":
+            a = _number(s_cfg["coefficient"], f"{where}.coefficient")
+            sigmas.append(scaled_identity(a))
+            sigma_lips.append(abs(a))
+        else:
+            raise ConfigError(f"unknown sigma kind {kind!r}")
+        drivers.append(driver_from_config(s_cfg.get("driver", {"kind": "brownian"})))
+    problem = SpdeProblem(
+        operator=op,
+        h0=h0,
+        alpha=alpha,
+        alpha_lipschitz=alpha_lip,
+        sigmas=tuple(sigmas),
+        sigma_lipschitz=tuple(sigma_lips),
+        drivers=tuple(drivers),
+    )
+    tol = _number(cfg.get("tol", 1e-6), "spde.tol", positive=True)
+    return problem, tol, _integer(cfg.get("max_iter", 50), "spde.max_iter")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus the raw dict it came from."""
+    """Validated experiment: every section parsed, plus the raw dict it came from."""
 
     experiment: str
     raw: dict
@@ -169,6 +225,14 @@ class ExperimentConfig:
     threads: int
     out_dir: Path
     tolerances: dict
+    grid: TimeGrid
+    # the driver; for poisson-identity, the standard Poisson process of its rate
+    driver: LevySpec | None = None
+    integrand: str | None = None
+    meshes: np.ndarray | None = None
+    problem: SpdeProblem | None = None
+    tol: float | None = None
+    max_iter: int | None = None
 
     @property
     def config_hash(self) -> str:
@@ -176,30 +240,44 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_COMMON_KEYS = {"experiment", "seed", "paths", "grid", "out", "tolerances", "threads"}
-_EXPERIMENT_KEYS = {
-    "simulate": _COMMON_KEYS | {"driver"},
-    "integrate": _COMMON_KEYS | {"driver", "integrand"},
-    "isometry": _COMMON_KEYS | {"driver", "integrand"},
-    "poisson-identity": _COMMON_KEYS | {"rate"},
-    "converge": _COMMON_KEYS | {"driver", "integrand", "meshes"},
-    "spde": _COMMON_KEYS | {"spde"},
-    "diagnostics": _COMMON_KEYS | {"spde"},
+_BROWNIAN = {"kind": "brownian"}
+# Config keys every experiment reads, and the sections of each experiment,
+# with the value a missing key takes (converge derives a missing grid from
+# its finest mesh).
+_COMMON_DEFAULTS = {"seed": 0, "paths": 1000, "threads": 1, "out": ".", "tolerances": None}
+_DEFAULTS = {
+    "simulate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN},
+    "integrate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN, "integrand": "ones"},
+    "isometry": {"grid": {"horizon": 1.0, "steps": 1000}, "driver": _BROWNIAN, "integrand": "ones"},
+    "poisson-identity": {"grid": {"horizon": 1.0, "steps": 16}, "rate": 1.0},
+    "converge": {"grid": None, "driver": _BROWNIAN, "integrand": "driver",
+                 "meshes": [2**-4, 2**-5, 2**-6, 2**-7]},
+    "spde": {"grid": {"horizon": 1.0, "steps": 64}, "spde": {}},
+    "diagnostics": {"grid": {"horizon": 1.0, "steps": 64}, "spde": {}},
 }
-
-
-def _thread_count(value, source: str) -> int:
-    """A worker-thread count from the config, ``--threads`` or ``LEVYINT_THREADS``."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = 0
-    if n < 1 or (isinstance(value, float) and n != value):
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
-    return n
+EXPERIMENTS = tuple(_DEFAULTS)
+_EXPERIMENT_KEYS = {
+    kind: {"experiment", *_COMMON_DEFAULTS, *defaults} for kind, defaults in _DEFAULTS.items()
+}
+# what Python and numpy raise on a config value of the wrong type or shape
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError)
 
 
 def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
+    """Validate a config and parse each of its sections once.
+
+    This is the only place where malformed input is mapped to ConfigError;
+    nothing the experiments raise while computing is.
+    """
+    try:
+        return _parse_config(raw, experiment)
+    except ToolkitError:
+        raise
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"malformed config: {exc!r}") from exc
+
+
+def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     kind = raw.get("experiment", experiment)
@@ -210,23 +288,36 @@ def parse_config(raw: dict, experiment: str | None = None) -> ExperimentConfig:
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}")
     _require_keys(raw, _EXPERIMENT_KEYS[kind], "config")
-    try:
-        seed = int(raw.get("seed", 0))
-        paths = int(raw.get("paths", 1000))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scalar field: {exc}") from exc
-    threads = _thread_count(raw.get("threads", 1), "threads")
-    if paths < 1:
-        raise ConfigError(f"paths must be >= 1, got {paths}")
-    tolerances = resolve(raw.get("tolerances"))
+    cfg = {**_COMMON_DEFAULTS, **_DEFAULTS[kind], **raw}
+    if not isinstance(cfg["out"], str) or "\0" in cfg["out"]:
+        raise ConfigError(f"out must be a directory path, got {cfg['out']!r}")
+    parsed = {}
+    if "driver" in cfg:
+        parsed["driver"] = driver_from_config(cfg["driver"])
+    if "rate" in cfg:
+        parsed["driver"] = standard_poisson(rate=_number(cfg["rate"], "rate"))
+    if "integrand" in cfg:
+        if not isinstance(cfg["integrand"], str) or cfg["integrand"] not in _INTEGRANDS:
+            raise ConfigError(f"unknown integrand {cfg['integrand']!r}; choose from {tuple(_INTEGRANDS)}")
+        parsed["integrand"] = cfg["integrand"]
+    if "meshes" in cfg:
+        parsed["meshes"] = _numbers(cfg["meshes"], "meshes", positive=True)
+    if "spde" in cfg:
+        parsed["problem"], parsed["tol"], parsed["max_iter"] = _spde_from_config(cfg["spde"])
+    if cfg["grid"] is None and kind == "converge":
+        grid = TimeGrid.uniform(1.0, int(round(1.0 / parsed["meshes"][-1])))
+    else:
+        grid = grid_from_config(cfg["grid"])
     return ExperimentConfig(
         experiment=kind,
         raw={**raw, "experiment": kind},  # canonical form: hash covers the kind
-        seed=seed,
-        paths=paths,
-        threads=threads,
-        out_dir=Path(raw.get("out", ".")),
-        tolerances=tolerances,
+        seed=_integer(cfg["seed"], "seed", minimum=0),
+        paths=_integer(cfg["paths"], "paths"),
+        threads=_integer(cfg["threads"], "threads"),
+        out_dir=Path(cfg["out"]),
+        tolerances=resolve(cfg["tolerances"]),
+        grid=grid,
+        **parsed,
     )
 
 
@@ -245,21 +336,8 @@ class RunResult:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _integrand_ensemble(name: str, x: PathEnsemble) -> PathEnsemble:
-    if name == "ones":
-        return PathEnsemble.deterministic(x.grid, 1.0)
-    if name == "time":
-        return PathEnsemble.deterministic(x.grid, lambda t: t)
-    if name == "driver":
-        return x
-    if name == "driver_left_limit":
-        return predictable_version(x)
-    raise ConfigError(f"unknown integrand {name!r}; choose from {_INTEGRANDS}")
-
-
 def _run_simulate(cfg: ExperimentConfig) -> RunResult:
-    spec = driver_from_config(cfg.raw.get("driver", {"kind": "brownian"}))
-    grid = grid_from_config(cfg.raw.get("grid", {"horizon": 1.0, "steps": 100}))
+    spec, grid = cfg.driver, cfg.grid
     ens = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
     c = spec.bracket_rate()
     m = martingale_part(spec, ens)
@@ -277,14 +355,13 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_integrate(cfg: ExperimentConfig) -> RunResult:
-    spec = driver_from_config(cfg.raw.get("driver", {"kind": "brownian"}))
-    grid = grid_from_config(cfg.raw.get("grid", {"horizon": 1.0, "steps": 100}))
-    x = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
-    phi = _integrand_ensemble(cfg.raw.get("integrand", "ones"), x)
+    spec = cfg.driver
+    x = simulate_paths(spec, cfg.grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    phi = _INTEGRANDS[cfg.integrand](x)
     y = levy_integral(phi, spec, x)
     terminal = y.values[:, -1, 0]
     checks = []
-    if cfg.raw.get("integrand", "ones") == "ones":
+    if cfg.integrand == "ones":
         resid = float(np.max(np.abs(terminal - (x.values[:, -1, 0] - x.values[:, 0, 0]))))
         checks.append(("telescoping", resid < cfg.tolerances["exact"], {"residual": resid}))
     if spec.martingale_drift == 0.0 and cfg.paths > 2:
@@ -295,62 +372,39 @@ def _run_integrate(cfg: ExperimentConfig) -> RunResult:
                        {"mean": mean, "se": se}))
     rows = [(p, float(terminal[p])) for p in range(cfg.paths)]
     return RunResult(cfg, checks, ("path", "terminal_value"), rows,
-                     {"integrand": cfg.raw.get("integrand", "ones")})
+                     {"integrand": cfg.integrand})
 
 
 def _run_isometry(cfg: ExperimentConfig) -> RunResult:
-    spec = driver_from_config(cfg.raw.get("driver", {"kind": "brownian"}))
-    grid = grid_from_config(cfg.raw.get("grid", {"horizon": 1.0, "steps": 1000}))
-    x = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
-    phi = _integrand_ensemble(cfg.raw.get("integrand", "ones"), x)
-    report = ito_isometry_check(phi, spec, x)
+    x = simulate_paths(cfg.driver, cfg.grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    phi = _INTEGRANDS[cfg.integrand](x)
+    report = ito_isometry_check(phi, cfg.driver, x)
     z_max = cfg.tolerances["z_max"]
     checks = [("isometry_z", abs(report.z_score) < z_max, report.record())]
     rows = [(report.lhs, report.rhs, report.se_lhs, report.se_rhs, report.z_score)]
     return RunResult(cfg, checks, ("lhs", "rhs", "se_lhs", "se_rhs", "z"), rows,
-                     {"integrand": cfg.raw.get("integrand", "ones")})
+                     {"integrand": cfg.integrand})
 
 
 def _run_poisson_identity(cfg: ExperimentConfig) -> RunResult:
-    grid_cfg = cfg.raw.get("grid", {"horizon": 1.0, "steps": 16})
-    grid = grid_from_config(grid_cfg)
-    rate = float(cfg.raw.get("rate", 1.0))
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
     report = poisson_identity_check(
-        rate, grid.horizon, cfg.paths, cfg.seed,
-        base_steps=grid.n_intervals, tolerance=cfg.tolerances["exact"],
+        cfg.driver.rate, cfg.grid.horizon, cfg.paths, cfg.seed,
+        base_steps=cfg.grid.n_intervals, tolerance=cfg.tolerances["exact"],
     )
     checks = [("pathwise_identities", report.passed, {"max_residual": report.max_residual})]
-    rows = [
-        (
-            p,
-            float(report.terminal_counts[p]),
-            float(report.left_sum_values[p]),
-            float(report.stieltjes_values[p]),
-            float(report.left_sum_residuals[p]),
-            float(report.stieltjes_residuals[p]),
-            float(report.difference_residuals[p]),
-        )
-        for p in range(cfg.paths)
-    ]
+    per_path = (report.terminal_counts, report.left_sum_values, report.stieltjes_values,
+                report.left_sum_residuals, report.stieltjes_residuals, report.difference_residuals)
+    rows = list(zip(range(cfg.paths), *(a.tolist() for a in per_path)))
     cols = ("path", "count", "left_sum", "stieltjes", "res_left", "res_stieltjes", "res_diff")
     return RunResult(cfg, checks, cols, rows, {"max_residual": report.max_residual})
 
 
 def _run_converge(cfg: ExperimentConfig) -> RunResult:
-    spec = driver_from_config(cfg.raw.get("driver", {"kind": "brownian"}))
-    meshes = np.asarray(cfg.raw.get("meshes", [2**-4, 2**-5, 2**-6, 2**-7]), dtype=float)
-    grid_cfg = cfg.raw.get("grid")
-    if grid_cfg is None:
-        horizon = 1.0
-        grid = TimeGrid.uniform(horizon, int(round(horizon / meshes[-1])))
-    else:
-        grid = grid_from_config(grid_cfg)
+    spec, grid = cfg.driver, cfg.grid
     x = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
     m = martingale_part(spec, x)
-    phi = _integrand_ensemble(cfg.raw.get("integrand", "driver"), x)
-    study = mesh_convergence_study(phi, m, meshes, grid.horizon)
+    phi = _INTEGRANDS[cfg.integrand](x)
+    study = mesh_convergence_study(phi, m, cfg.meshes, grid.horizon)
     decreasing = bool(np.all(np.diff(study.sq_differences) < 0))
     checks = [("differences_decreasing", decreasing,
                {"sq_differences": study.sq_differences.tolist()})]
@@ -360,70 +414,13 @@ def _run_converge(cfg: ExperimentConfig) -> RunResult:
                       "reference_mesh": study.reference_mesh})
 
 
-def _spde_problem_from_config(cfg: dict) -> tuple[SpdeProblem, float, int]:
-    _require_keys(cfg, {"eigenvalues", "heat_dim", "h0", "alpha", "sigmas",
-                        "drivers", "tol", "max_iter"}, "spde")
-    try:
-        if "heat_dim" in cfg:
-            op = heat_operator(int(cfg["heat_dim"]))
-        elif "eigenvalues" in cfg:
-            op = SpectralOperator(np.asarray(cfg["eigenvalues"], dtype=float))
-        else:
-            raise ConfigError("spde section needs 'heat_dim' or 'eigenvalues'")
-        dim = op.dim
-        h0 = np.asarray(cfg.get("h0", np.zeros(dim)), dtype=float)
-
-        alpha_cfg = cfg.get("alpha", {"kind": "none"})
-        _require_keys(alpha_cfg, {"kind", "coefficient"}, "spde.alpha")
-        if alpha_cfg.get("kind", "none") == "none":
-            alpha, alpha_lip = None, 0.0
-        elif alpha_cfg["kind"] == "linear":
-            a = float(alpha_cfg["coefficient"])
-            alpha, alpha_lip = scaled_identity(a), abs(a)
-        else:
-            raise ConfigError(f"unknown alpha kind {alpha_cfg.get('kind')!r}")
-
-        sigmas, sigma_lips, drivers = [], [], []
-        for i, s_cfg in enumerate(cfg.get("sigmas", [])):
-            _require_keys(s_cfg, {"kind", "value", "coefficient", "driver"}, f"spde.sigmas[{i}]")
-            kind = s_cfg.get("kind")
-            if kind == "constant":
-                value = np.asarray(s_cfg.get("value", np.ones(dim)), dtype=float)
-                if value.ndim == 0:
-                    value = np.full(dim, float(value))
-                if value.shape != (dim,):
-                    raise ConfigError(f"spde.sigmas[{i}].value must have {dim} entries")
-                sigmas.append(constant_map(value))
-                sigma_lips.append(0.0)
-            elif kind == "linear":
-                a = float(s_cfg["coefficient"])
-                sigmas.append(scaled_identity(a))
-                sigma_lips.append(abs(a))
-            else:
-                raise ConfigError(f"unknown sigma kind {kind!r}")
-            drivers.append(driver_from_config(s_cfg.get("driver", {"kind": "brownian"})))
-        problem = SpdeProblem(
-            operator=op,
-            h0=h0,
-            alpha=alpha,
-            alpha_lipschitz=alpha_lip,
-            sigmas=tuple(sigmas),
-            sigma_lipschitz=tuple(sigma_lips),
-            drivers=tuple(drivers),
-        )
-        return problem, float(cfg.get("tol", 1e-6)), int(cfg.get("max_iter", 50))
-    except ToolkitError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad spde section: {exc!r}") from exc
+def _picard(cfg: ExperimentConfig, grid: TimeGrid):
+    return mild_solution_picard(cfg.problem, grid, cfg.paths, cfg.seed,
+                                tol=cfg.tol, max_iter=cfg.max_iter, threads=cfg.threads)
 
 
 def _run_spde(cfg: ExperimentConfig) -> RunResult:
-    problem, tol, max_iter = _spde_problem_from_config(cfg.raw.get("spde", {}))
-    grid = grid_from_config(cfg.raw.get("grid", {"horizon": 1.0, "steps": 64}))
-    solution, report = mild_solution_picard(
-        problem, grid, cfg.paths, cfg.seed, tol=tol, max_iter=max_iter, threads=cfg.threads
-    )
+    solution, report = _picard(cfg, cfg.grid)
     checks = [("picard_converged", report.converged,
                {"iterations": report.iterations, "residual": report.residual})]
     cols = ("path", "t") + tuple(f"value_{i}" for i in range(solution.dim))
@@ -437,13 +434,9 @@ def _run_spde(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_diagnostics(cfg: ExperimentConfig) -> RunResult:
-    problem, tol, max_iter = _spde_problem_from_config(cfg.raw.get("spde", {}))
-    grid = grid_from_config(cfg.raw.get("grid", {"horizon": 1.0, "steps": 64}))
-    fine = TimeGrid.uniform(grid.horizon, 2 * grid.n_intervals)
-    sol_c, _ = mild_solution_picard(problem, grid, cfg.paths, cfg.seed,
-                                    tol=tol, max_iter=max_iter, threads=cfg.threads)
-    sol_f, _ = mild_solution_picard(problem, fine, cfg.paths, cfg.seed,
-                                    tol=tol, max_iter=max_iter, threads=cfg.threads)
+    fine = TimeGrid.uniform(cfg.grid.horizon, 2 * cfg.grid.n_intervals)
+    sol_c, _ = _picard(cfg, cfg.grid)
+    sol_f, _ = _picard(cfg, fine)
     diag_c = solution_diagnostics(sol_c)
     diag_f = solution_diagnostics(sol_f)
     k = cfg.tolerances["se_multiplier"]
@@ -471,10 +464,10 @@ _RUNNERS = {
 }
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_csv(path: Path, columns: tuple[str, ...], rows: list) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def emit_report(result: RunResult) -> tuple[Path, Path]:
@@ -485,15 +478,9 @@ def emit_report(result: RunResult) -> tuple[Path, Path]:
     data_path = cfg.out_dir / f"{stem}.csv"
     manifest_path = cfg.out_dir / f"{stem}.manifest.json"
 
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_format_cell(x) for x in row))
-    data_path.write_text("\n".join(lines) + "\n")
-
+    _write_csv(data_path, result.columns, result.rows)
     for name, (cols, rows) in (result.tables or {}).items():
-        side = [",".join(cols)]
-        side += [",".join(_format_cell(x) for x in row) for row in rows]
-        (cfg.out_dir / f"{stem}.{name}.csv").write_text("\n".join(side) + "\n")
+        _write_csv(cfg.out_dir / f"{stem}.{name}.csv", cols, rows)
 
     manifest = {
         "experiment": cfg.experiment,
@@ -533,11 +520,14 @@ def run(config: ExperimentConfig) -> int:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,26 +551,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = _load_config(args.config)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.paths is not None:
-            raw["paths"] = args.paths
-        if args.out is not None:
-            raw["out"] = args.out
+        for key in ("seed", "paths", "out"):
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
         if args.threads is not None:
-            raw["threads"] = _thread_count(args.threads, "--threads")
+            raw["threads"] = _text_integer(args.threads, "--threads")
         elif os.environ.get("LEVYINT_THREADS"):
-            raw["threads"] = _thread_count(os.environ["LEVYINT_THREADS"], "LEVYINT_THREADS")
+            raw["threads"] = _text_integer(os.environ["LEVYINT_THREADS"], "LEVYINT_THREADS")
         config = parse_config(raw, args.experiment)
         return run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ToolkitError as exc:  # bad config or parameters
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,13 +17,21 @@ from __future__ import annotations
 
 import abc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .ensembles import JumpRecord, PathEnsemble, TimeGrid
 from .errors import ConsistencyError, NumericError, ParameterError
 from .tolerances import DEFAULTS
+
+
+def _check_finite(params) -> None:
+    """Reject a spec or jump law whose float parameters are not all finite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and not np.isfinite(value):
+            raise ParameterError(f"{type(params).__name__}.{f.name} must be finite, got {value}")
 
 
 class JumpLaw(abc.ABC):
@@ -60,6 +68,7 @@ class ExponentialJumps(JumpLaw):
     rate: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.rate <= 0:
             raise ParameterError(f"exponential jump rate must be positive, got {self.rate}")
 
@@ -73,14 +82,15 @@ class ExponentialJumps(JumpLaw):
         return rng.exponential(1.0 / self.rate, size=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NormalJumps(JumpLaw):
     """Normally distributed jump sizes."""
 
-    loc: float
+    loc: float = 0.0
     scale: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.scale < 0:
             raise ParameterError(f"jump scale must be nonnegative, got {self.scale}")
 
@@ -121,6 +131,7 @@ class Brownian(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.volatility < 0:
             raise ParameterError(f"volatility must be nonnegative, got {self.volatility}")
 
@@ -144,6 +155,7 @@ class CompensatedPoisson(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.rate <= 0:
             raise ParameterError(f"intensity must be positive, got {self.rate}")
 
@@ -174,6 +186,7 @@ class CompoundPoisson(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.rate <= 0:
             raise ParameterError(f"intensity must be positive, got {self.rate}")
         if not np.isfinite(self.jump_law.second_moment()):
@@ -235,25 +248,26 @@ def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, key, offs
     values[rows, :, 0] += spec.drift * grid.points
 
 
-def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, jumps: list, key, offset, rows) -> None:
+def _path_drift(spec: LevySpec) -> float:
+    """Rate d of a jump-driven path X_t = (sum of jumps up to t) + d*t."""
     if isinstance(spec, CompensatedPoisson):
-        rate, comp_rate = spec.rate, spec.rate
-    else:
-        assert isinstance(spec, CompoundPoisson)
-        rate = spec.rate
-        comp_rate = spec.rate * spec.jump_law.mean() if spec.compensated else 0.0
-    pts = grid.points
+        return spec.drift - spec.rate
+    if isinstance(spec, CompoundPoisson):
+        return spec.drift - (spec.rate * spec.jump_law.mean() if spec.compensated else 0.0)
+    raise ConsistencyError(f"{type(spec).__name__} is not a jump-driven spec")
+
+
+def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, jumps: list, key, offset, rows) -> None:
+    drift = _path_drift(spec) * grid.points
     for i in rows:
         rng = _path_rng(key, offset + i)
-        times = _exact_jump_times(rng, rate, grid.horizon)
+        times = _exact_jump_times(rng, spec.rate, grid.horizon)
         if isinstance(spec, CompoundPoisson):
             sizes = spec.jump_law.sample(rng, times.size)
         else:
             sizes = np.ones_like(times)
         jumps[i] = JumpRecord(times=times, sizes=sizes)
-        counts = np.searchsorted(times, pts, side="right")
-        cum = np.concatenate(([0.0], np.cumsum(sizes)))
-        values[i, :, 0] = cum[counts] + (spec.drift - comp_rate) * pts
+        values[i, :, 0] = jumps[i].values_at(grid.points) + drift
 
 
 def simulate_paths(
@@ -344,18 +358,11 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
     """
     if ensemble.jumps is None:
         raise ConsistencyError("reconstruction needs jump records")
-    if isinstance(spec, CompensatedPoisson):
-        comp_rate = spec.rate
-    elif isinstance(spec, CompoundPoisson):
-        comp_rate = spec.rate * spec.jump_law.mean() if spec.compensated else 0.0
-    else:
-        raise ConsistencyError("reconstruction applies to jump-driven specs")
     pts = ensemble.grid.points
+    drift = _path_drift(spec) * pts
     worst = 0.0
     for p, rec in enumerate(ensemble.jumps):
-        counts = np.searchsorted(rec.times, pts, side="right")
-        cum = np.concatenate(([0.0], np.cumsum(rec.sizes)))
-        rebuilt = cum[counts] + (spec.drift - comp_rate) * pts
+        rebuilt = rec.values_at(pts) + drift
         worst = max(worst, float(np.max(np.abs(rebuilt - ensemble.values[p, :, 0]))))
     return worst
 

@@ -138,6 +138,11 @@ class JumpRecord:
     def count(self) -> int:
         return int(self.times.size)
 
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """Sum of the jumps up to each time, a jump at t counted at t (cadlag)."""
+        cum = np.concatenate(([0.0], np.cumsum(self.sizes)))
+        return cum[np.searchsorted(self.times, points, side="right")]
+
 
 @dataclass(frozen=True)
 class PathEnsemble:

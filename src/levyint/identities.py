@@ -79,9 +79,7 @@ def _left_sum_on_jump_partition(
 ) -> float:
     """Left-endpoint self-integral on the base grid augmented by jump times."""
     pts = np.union1d(base_points, jumps.times[jumps.times <= horizon])
-    counts = np.searchsorted(jumps.times, pts, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(jumps.sizes)))
-    x = cum[counts]
+    x = jumps.values_at(pts)
     return float(np.dot(x[:-1], np.diff(x)))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
+from .errors import ConfigError
+
 DEFAULTS = MappingProxyType(
     {
         # residual bound for identities that hold exactly per path
@@ -33,14 +35,15 @@ def resolve(overrides: dict[str, float] | None = None) -> dict[str, float]:
     """Merge per-run overrides into the defaults table.
 
     Unknown tolerance names are rejected so manifests never contain silently
-    ignored knobs.
+    ignored knobs, and every override must be a finite positive number.
     """
     merged = dict(DEFAULTS)
-    if overrides:
-        unknown = set(overrides) - set(merged)
-        if unknown:
-            from .errors import ConfigError
-
-            raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
-        merged.update({k: float(v) for k, v in overrides.items()})
+    if overrides is None:
+        return merged
+    if not isinstance(overrides, dict) or set(overrides) - set(merged):
+        raise ConfigError(f"tolerances must map names out of {sorted(merged)} to numbers, got {overrides!r}")
+    for name, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < float("inf"):
+            raise ConfigError(f"tolerance {name} must be a finite positive number, got {value!r}")
+        merged[name] = float(value)
     return merged

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import levyint as li
@@ -33,9 +32,7 @@ def cadlag_specs():
 
 def ensemble_from_record(grid, record, drift=0.0, spec=None):
     """Single-path cadlag ensemble evaluated exactly from a jump record."""
-    counts = np.searchsorted(record.times, grid.points, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(record.sizes)))
-    values = (cum[counts] + drift * grid.points)[None, :, None]
+    values = (record.values_at(grid.points) + drift * grid.points)[None, :, None]
     meta = {"spec": spec} if spec is not None else {}
     return li.PathEnsemble(
         values=values, grid=grid, adapted=True, jumps=(record,), meta=meta

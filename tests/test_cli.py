@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levyint as li
 from levyint.cli import (
@@ -11,7 +13,9 @@ from levyint.cli import (
     main,
     parse_config,
 )
-from levyint.errors import ConfigError
+from levyint.errors import ConfigError, NumericError, ToolkitError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _write(tmp_path, name, cfg):
@@ -161,15 +165,53 @@ class TestExitCodes:
                          "driver": {"kind": "brownian"}}]},
             {"tol": float("nan")},
             {"max_iter": 0},
+            {"heat_dim": 3.5},
+            {"max_iter": True},
         ],
         ids=["alpha_no_coefficient", "sigma_no_coefficient", "tol_text", "heat_dim_text",
-             "heat_dim_inf", "alpha_number", "sigma_value_length", "tol_nan", "max_iter0"],
+             "heat_dim_inf", "alpha_number", "sigma_value_length", "tol_nan", "max_iter0",
+             "heat_dim_fraction", "max_iter_bool"],
     )
     def test_malformed_spde_section_is_config_error(self, tmp_path, patch):
         cfg = _small_configs(tmp_path)["spde"]
         cfg = {**cfg, "spde": {**cfg["spde"], **patch}}
         path = _write(tmp_path, "bad_spde.json", cfg)
         assert main(["spde", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, patch",
+        [
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "exponential"}}}),
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": "two_point"}}),
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "normal"}}}),
+            ("simulate", {"driver": {"kind": "compound_poisson", "compensated": "false"}}),
+            ("converge", {"meshes": [0.5, "x", 0.1]}),
+            ("converge", {"meshes": 0.5}),
+            ("simulate", {"out": 5}),
+            ("simulate", {"driver": {"kind": "compensated_poisson", "rate": NAN}}),
+            ("simulate", {"driver": {"kind": "brownian", "drift": NAN}}),
+            ("simulate", {"driver": {"kind": "brownian", "volatility": INF}}),
+            ("poisson-identity", {"rate": NAN}),
+            ("isometry", {"tolerances": {"exact": "x"}}),
+            ("isometry", {"tolerances": {"z_max": -1}}),
+            ("isometry", {"tolerances": {"z_max": NAN}}),
+            ("isometry", {"tolerances": {"se_multiplier": 0}}),
+            ("simulate", {"paths": True}),
+            ("simulate", {"seed": True}),
+            ("simulate", {"paths": 10.5}),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 2.7}}),
+        ],
+        ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
+             "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
+             "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
+             "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
+             "steps_fraction"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch):
+        cfg = {**_small_configs(tmp_path)[kind], **patch}
+        path = _write(tmp_path, "bad_cfg.json", cfg)
+        assert main([kind, "--config", path]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_unwritable_target_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -201,7 +243,7 @@ class TestThreadControl:
     @pytest.mark.parametrize(
         "source, value",
         [("env", "abc"), ("env", "0"), ("env", "2.5"), ("flag", "abc"), ("flag", "-3"),
-         ("config", -3), ("config", 2.5), ("config", None)],
+         ("config", -3), ("config", 2.5), ("config", None), ("config", True)],
     )
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys, source, value):
         cfg = _small_configs(tmp_path)["simulate"]
@@ -251,3 +293,76 @@ class TestDeterminism:
         assert main(["simulate", "--config", p2]) == 0
         stem = f"simulate-{parse_config({**inline, 'experiment': 'simulate'}).config_hash}"
         assert (tmp_path / f"{stem}.csv").exists()
+
+
+# one config per experiment that between them hold every section and key
+_FUZZ_BASES = [
+    {"experiment": "simulate", "seed": 1, "paths": 8, "threads": 1, "out": "o",
+     "tolerances": {"z_max": 4.0, "exact": 1e-12},
+     "driver": {"kind": "compound_poisson", "rate": 2.0, "compensated": True, "drift": 0.0,
+                "jump_law": {"kind": "normal", "loc": 0.1, "scale": 0.5}},
+     "grid": {"horizon": 1.0, "steps": 8}},
+    {"experiment": "integrate", "driver": {"kind": "standard_poisson", "rate": 2.0},
+     "integrand": "ones", "grid": {"points": [0.0, 0.5, 1.0]}},
+    {"experiment": "isometry", "driver": {"kind": "compound_poisson",
+                                          "jump_law": {"kind": "exponential", "rate": 2.0}},
+     "integrand": "driver_left_limit"},
+    {"experiment": "poisson-identity", "rate": 1.0, "grid": {"horizon": 2.0, "steps": 4}},
+    {"experiment": "converge", "driver": {"kind": "brownian", "volatility": 1.0, "drift": 0.5},
+     "integrand": "driver", "meshes": [0.5, 0.25, 0.125]},
+    {"experiment": "spde", "grid": {"horizon": 1.0, "steps": 8},
+     "spde": {"heat_dim": 2, "h0": [1.0, 0.0], "alpha": {"kind": "linear", "coefficient": 0.5},
+              "sigmas": [{"kind": "constant", "value": [1.0, 0.5],
+                          "driver": {"kind": "compensated_poisson", "rate": 1.0, "drift": 0.0}}],
+              "tol": 1e-6, "max_iter": 5}},
+    {"experiment": "diagnostics",
+     "spde": {"eigenvalues": [1.0, 4.0],
+              "sigmas": [{"kind": "linear", "coefficient": 0.2, "driver": {"kind": "brownian"}}]}},
+]
+
+# Magnitudes stay small: counts allocate at parse time (a grid of `steps`
+# points, `heat_dim` eigenvalues), and a huge count would allocate that much.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000).map(lambda k: k / 8),
+    st.sampled_from([NAN, INF, -INF, -0.0, 1e-3, 1e300, -1e300, 2**70]),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+def _key_paths(node, prefix=()):
+    """Paths to the node itself and to every section, key and list entry below it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _substituted(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _substituted(node[path[0]], path[1:], value)
+    return copy
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_parse_raises_only_non_numeric_toolkit_errors(self, data):
+        raw = data.draw(st.sampled_from(_FUZZ_BASES))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_key_paths(raw))))
+            raw = _substituted(raw, path, data.draw(_JSON_VALUES))
+        try:
+            parse_config(raw)
+        except ToolkitError as exc:
+            assert not isinstance(exc, NumericError)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,31 @@ class TestSpecValidation:
             li.CompensatedPoisson(rate=rate)
         with pytest.raises(ParameterError):
             li.CompoundPoisson(rate=rate)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: li.Brownian(volatility=v),
+            lambda v: li.Brownian(drift=v),
+            lambda v: li.CompensatedPoisson(rate=v),
+            lambda v: li.CompensatedPoisson(drift=v),
+            lambda v: li.standard_poisson(rate=v),
+            lambda v: li.CompoundPoisson(rate=v),
+            lambda v: li.CompoundPoisson(drift=v),
+            lambda v: li.ExponentialJumps(rate=v),
+            lambda v: li.NormalJumps(loc=v, scale=1.0),
+            lambda v: li.NormalJumps(scale=v),
+        ],
+        ids=["volatility", "brownian_drift", "poisson_rate", "poisson_drift", "standard_rate",
+             "compound_rate", "compound_drift", "exponential_rate", "normal_loc", "normal_scale"],
+    )
+    def test_non_finite_parameter_rejected(self, make, bad):
+        with pytest.raises(ParameterError):
+            make(bad)
+
+    def test_normal_loc_defaults_to_zero(self):
+        assert li.NormalJumps(scale=2.0) == li.NormalJumps(loc=0.0, scale=2.0)
 
     def test_jump_law_moments(self):
         assert li.TwoPointJumps().second_moment() == 1.0
@@ -159,3 +186,37 @@ class TestDeterminism:
         lo = li.simulate_paths(li.Brownian(), grid100, 30, 13, path_offset=0)
         hi = li.simulate_paths(li.Brownian(), grid100, 20, 13, path_offset=30)
         assert np.array_equal(np.vstack([lo.values, hi.values]), full.values)
+
+
+class TestGoldenDigests:
+    """sha256 of simulated values and jump records per driver kind, recorded
+    before jump records and grid values shared one helper; a change here
+    means the simulated numbers changed."""
+
+    @pytest.mark.parametrize(
+        "spec, expect",
+        [
+            (li.Brownian(volatility=1.5, drift=0.5),
+             "c4df705c59d4f1400d09f65ee669bdf1e6e829f57ca8edfe1739253477731596"),
+            (li.CompensatedPoisson(rate=2.0, drift=0.3),
+             "f2dd8b33de2cd4f8231164a084b095d27644e39e8d22ff3efc425ef52b934a44"),
+            (li.standard_poisson(rate=1.5),
+             "2b2025f4258dcd4a5f79a009bbef78650d6ab3a66c167cde4845af0d88b3e288"),
+            (li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps()),
+             "3b4bebf31fcdcf243ab39dbd85cee0d478fd3e208e4bc5dcd2275daa655b2588"),
+            (li.CompoundPoisson(rate=2.0, jump_law=li.ExponentialJumps(rate=2.0),
+                                compensated=False, drift=0.1),
+             "9ea909210d0b56cfc195c9c3cb882d1aca1340a5d5e16f5b014647d3b8ca6d52"),
+            (li.CompoundPoisson(rate=2.5, jump_law=li.NormalJumps(loc=0.3, scale=0.5)),
+             "43c69e5c5252554684138952bf062b251cd1669e6a0322a3274ebd871f10825a"),
+        ],
+        ids=["brownian", "compensated_poisson", "standard_poisson", "two_point",
+             "exponential_uncompensated", "normal"],
+    )
+    def test_simulated_paths(self, spec, expect):
+        ens = li.simulate_paths(spec, li.TimeGrid.uniform(1.0, 16), 8, 2024)
+        h = hashlib.sha256(ens.values.tobytes())
+        for rec in ens.jumps or ():
+            h.update(rec.times.tobytes())
+            h.update(rec.sizes.tobytes())
+        assert h.hexdigest() == expect
