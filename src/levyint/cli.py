@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -98,15 +97,6 @@ def _integer(value, where: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _text_integer(text: str, where: str) -> int:
-    """A count >= 1 from command-line or environment text."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = text
-    return _integer(value, where)
-
-
 def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {value!r}")
@@ -150,20 +140,41 @@ def driver_to_config(spec: LevySpec) -> dict:
             **{name: driver_to_config(v) if is_dataclass(v) else v for name, v in values.items()}}
 
 
-def grid_from_config(cfg: dict) -> TimeGrid:
+# Largest array a config may ask for: float64 values at every path, grid
+# point and coordinate.  The README's 1e5-path isometry run needs 0.8 GB; a
+# count far beyond that is a config error, not a failed allocation.
+_MAX_ARRAY_BYTES = 2**34
+_ARRAY_SHAPE = "paths x grid points x coordinates"
+
+
+def _within_limit(count: int, where: str) -> int:
+    """A number of float64 values that fits the array limit."""
+    if count * 8 > _MAX_ARRAY_BYTES:
+        raise ConfigError(f"{where} = {count} float64 values exceed the "
+                          f"{_MAX_ARRAY_BYTES}-byte array limit")
+    return count
+
+
+def grid_from_config(cfg: dict, values_per_point: int) -> TimeGrid:
+    """The grid a config section describes; its points times
+    ``values_per_point`` must fit the array limit."""
     _require_keys(cfg, {"horizon", "steps", "points"}, "grid")
     if "points" in cfg:
-        return TimeGrid(_numbers(cfg["points"], "grid.points"))
-    return TimeGrid.uniform(_number(cfg["horizon"], "grid.horizon"),
-                            _integer(cfg["steps"], "grid.steps"))
+        points = _numbers(cfg["points"], "grid.points")
+        _within_limit(values_per_point * points.size, _ARRAY_SHAPE)
+        return TimeGrid(points)
+    steps = _integer(cfg["steps"], "grid.steps")
+    _within_limit(values_per_point * (steps + 1), _ARRAY_SHAPE)
+    return TimeGrid.uniform(_number(cfg["horizon"], "grid.horizon"), steps)
 
 
 def _spde_from_config(cfg: dict) -> tuple[SpdeProblem, float, int]:
     """The evolution problem of an ``spde`` section plus its Picard tol and max_iter."""
     _require_keys(cfg, {"eigenvalues", "heat_dim", "h0", "alpha", "sigmas",
-                        "drivers", "tol", "max_iter"}, "spde")
+                        "tol", "max_iter"}, "spde")
     if "heat_dim" in cfg:
-        op = heat_operator(_integer(cfg["heat_dim"], "spde.heat_dim"))
+        heat_dim = _integer(cfg["heat_dim"], "spde.heat_dim")
+        op = heat_operator(_within_limit(heat_dim, "spde.heat_dim"))
     elif "eigenvalues" in cfg:
         op = SpectralOperator(_numbers(cfg["eigenvalues"], "spde.eigenvalues"))
     else:
@@ -222,7 +233,6 @@ class ExperimentConfig:
     raw: dict
     seed: int
     paths: int
-    threads: int
     out_dir: Path
     tolerances: dict
     grid: TimeGrid
@@ -244,7 +254,7 @@ _BROWNIAN = {"kind": "brownian"}
 # Config keys every experiment reads, and the sections of each experiment,
 # with the value a missing key takes (converge derives a missing grid from
 # its finest mesh).
-_COMMON_DEFAULTS = {"seed": 0, "paths": 1000, "threads": 1, "out": ".", "tolerances": None}
+_COMMON_DEFAULTS = {"seed": 0, "paths": 1000, "out": ".", "tolerances": None}
 _DEFAULTS = {
     "simulate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN},
     "integrate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN, "integrand": "ones"},
@@ -304,16 +314,18 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
         parsed["meshes"] = _numbers(cfg["meshes"], "meshes", positive=True)
     if "spde" in cfg:
         parsed["problem"], parsed["tol"], parsed["max_iter"] = _spde_from_config(cfg["spde"])
-    if cfg["grid"] is None and kind == "converge":
-        grid = TimeGrid.uniform(1.0, int(round(1.0 / parsed["meshes"][-1])))
-    else:
-        grid = grid_from_config(cfg["grid"])
+    paths = _integer(cfg["paths"], "paths")
+    grid_cfg = cfg["grid"]
+    if grid_cfg is None and kind == "converge":
+        grid_cfg = {"horizon": 1.0, "steps": round(1.0 / float(parsed["meshes"][-1]))}
+    # diagnostics also solves on a grid of twice the steps
+    per_point = paths * (parsed["problem"].dim if "problem" in parsed else 1)
+    grid = grid_from_config(grid_cfg, per_point * (2 if kind == "diagnostics" else 1))
     return ExperimentConfig(
         experiment=kind,
         raw={**raw, "experiment": kind},  # canonical form: hash covers the kind
         seed=_integer(cfg["seed"], "seed", minimum=0),
-        paths=_integer(cfg["paths"], "paths"),
-        threads=_integer(cfg["threads"], "threads"),
+        paths=paths,
         out_dir=Path(cfg["out"]),
         tolerances=resolve(cfg["tolerances"]),
         grid=grid,
@@ -338,7 +350,7 @@ class RunResult:
 
 def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
-    ens = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    ens = simulate_paths(spec, grid, cfg.paths, cfg.seed)
     c = spec.bracket_rate()
     m = martingale_part(spec, ens)
     mt = m.values[:, -1, 0]
@@ -356,7 +368,7 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
 
 def _run_integrate(cfg: ExperimentConfig) -> RunResult:
     spec = cfg.driver
-    x = simulate_paths(spec, cfg.grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    x = simulate_paths(spec, cfg.grid, cfg.paths, cfg.seed)
     phi = _INTEGRANDS[cfg.integrand](x)
     y = levy_integral(phi, spec, x)
     terminal = y.values[:, -1, 0]
@@ -376,7 +388,7 @@ def _run_integrate(cfg: ExperimentConfig) -> RunResult:
 
 
 def _run_isometry(cfg: ExperimentConfig) -> RunResult:
-    x = simulate_paths(cfg.driver, cfg.grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    x = simulate_paths(cfg.driver, cfg.grid, cfg.paths, cfg.seed)
     phi = _INTEGRANDS[cfg.integrand](x)
     report = ito_isometry_check(phi, cfg.driver, x)
     z_max = cfg.tolerances["z_max"]
@@ -401,7 +413,7 @@ def _run_poisson_identity(cfg: ExperimentConfig) -> RunResult:
 
 def _run_converge(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
-    x = simulate_paths(spec, grid, cfg.paths, cfg.seed, threads=cfg.threads)
+    x = simulate_paths(spec, grid, cfg.paths, cfg.seed)
     m = martingale_part(spec, x)
     phi = _INTEGRANDS[cfg.integrand](x)
     study = mesh_convergence_study(phi, m, cfg.meshes, grid.horizon)
@@ -416,7 +428,7 @@ def _run_converge(cfg: ExperimentConfig) -> RunResult:
 
 def _picard(cfg: ExperimentConfig, grid: TimeGrid):
     return mild_solution_picard(cfg.problem, grid, cfg.paths, cfg.seed,
-                                tol=cfg.tol, max_iter=cfg.max_iter, threads=cfg.threads)
+                                tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _run_spde(cfg: ExperimentConfig) -> RunResult:
@@ -542,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", default=None,
-                       help="worker threads for path simulation")
     return parser
 
 
@@ -554,10 +564,6 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("seed", "paths", "out"):
             if getattr(args, key) is not None:
                 raw[key] = getattr(args, key)
-        if args.threads is not None:
-            raw["threads"] = _text_integer(args.threads, "--threads")
-        elif os.environ.get("LEVYINT_THREADS"):
-            raw["threads"] = _text_integer(os.environ["LEVYINT_THREADS"], "LEVYINT_THREADS")
         config = parse_config(raw, args.experiment)
         return run(config)
     except NumericError as exc:

@@ -8,15 +8,14 @@ closed-form bracket rates.
 
 Randomness is drawn from one counter-based Philox stream per path, keyed by
 the ensemble seed with the absolute path index placed in the counter block.
-Output is therefore bit-identical for identical (spec, grid, n_paths, seed)
-regardless of threading or path chunking, and ensembles simulated in chunks
-with ``path_offset`` reproduce the corresponding slice of a single large run.
+Output is therefore bit-identical for identical (spec, grid, n_paths, seed),
+and ensembles simulated in chunks with ``path_offset`` reproduce the
+corresponding slice of a single large run.
 """
 
 from __future__ import annotations
 
 import abc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -238,14 +237,14 @@ def _exact_jump_times(rng: np.random.Generator, rate: float, horizon: float) -> 
     return np.asarray(times)
 
 
-def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, key, offset, rows) -> None:
+def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, key, offset) -> None:
     sqrt_dt = np.sqrt(grid.dt)
-    for i in rows:
+    for i in range(values.shape[0]):
         rng = _path_rng(key, offset + i)
         values[i, 0, 0] = 0.0
         np.cumsum(rng.standard_normal(grid.n_intervals) * (spec.volatility * sqrt_dt),
                   out=values[i, 1:, 0])
-    values[rows, :, 0] += spec.drift * grid.points
+    values[:, :, 0] += spec.drift * grid.points
 
 
 def _path_drift(spec: LevySpec) -> float:
@@ -257,9 +256,9 @@ def _path_drift(spec: LevySpec) -> float:
     raise ConsistencyError(f"{type(spec).__name__} is not a jump-driven spec")
 
 
-def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, jumps: list, key, offset, rows) -> None:
+def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, jumps: list, key, offset) -> None:
     drift = _path_drift(spec) * grid.points
-    for i in rows:
+    for i in range(values.shape[0]):
         rng = _path_rng(key, offset + i)
         times = _exact_jump_times(rng, spec.rate, grid.horizon)
         if isinstance(spec, CompoundPoisson):
@@ -296,8 +295,9 @@ def simulate_paths(
         Index of the first path's stream.  Simulating [0, k) and [k, n) in
         two calls concatenates to the single-call [0, n) ensemble.
     threads:
-        Worker threads for filling disjoint path blocks; has no effect on
-        the values produced.
+        Ignored: simulation runs on one thread.  Kept only because the
+        benchmark probe ``perfbench/workloads.py::threads_baseline`` passes
+        it; the keyword and the probe are retired together.
     """
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
@@ -310,19 +310,12 @@ def simulate_paths(
     jumps: list | None = None
 
     if isinstance(spec, Brownian):
-        fill = lambda rows: _fill_brownian(spec, grid, values, key, path_offset, rows)
+        _fill_brownian(spec, grid, values, key, path_offset)
     elif isinstance(spec, (CompensatedPoisson, CompoundPoisson)):
         jumps = [None] * n_paths
-        fill = lambda rows: _fill_jump(spec, grid, values, jumps, key, path_offset, rows)
+        _fill_jump(spec, grid, values, jumps, key, path_offset)
     else:
         raise ParameterError(f"unknown driver spec {type(spec).__name__}")
-
-    if threads > 1 and n_paths > 1:
-        blocks = np.array_split(np.arange(n_paths), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, [b for b in blocks if b.size]))
-    else:
-        fill(range(n_paths))
 
     if not np.all(np.isfinite(values)):
         raise NumericError("simulation produced non-finite values")

@@ -2,9 +2,9 @@
 
 An ensemble of sampled paths is treated as a curve t -> L2(Omega; R^dim):
 expectations become averages over paths, and the curve norm is the sup over
-grid points of the root mean squared Euclidean norm.  All reductions are
-chunked over paths so that large ensembles (1e5 paths x 1e3 grid points)
-never allocate full-size temporaries.
+grid points of the root mean squared Euclidean norm.  Every reduction walks
+the paths in blocks of paired rows (``_blocks``), so that large ensembles
+(1e5 paths x 1e3 grid points) never allocate full-size temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .errors import (
     MissingJumpDataError,
 )
 
-# rows per block in chunked path reductions; results do not depend on it
+# rows per block in path reductions; a reduction is bit-identical only at a
+# fixed block size
 _CHUNK_ROWS = 4096
 
 
@@ -29,12 +30,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
     out.flags.writeable = False
     return out
-
-
-def _chunks(n: int, size: int | None = None) -> Iterator[slice]:
-    size = size if size is not None else _CHUNK_ROWS
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,6 @@ class TimeGrid:
         if i >= self.n_points or self.points[i] != t:
             raise GridError(f"time {t!r} is not a grid point")
         return i
-
-    def nearest_index(self, t: float) -> int:
-        """Index of the grid point closest to t."""
-        return int(np.argmin(np.abs(self.points - t)))
 
     def indices_of(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
@@ -254,13 +245,32 @@ def _pairing(a: PathEnsemble, b: PathEnsemble) -> int:
     return max(a.n_paths, b.n_paths)
 
 
+def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False) -> Iterator[tuple]:
+    """Row slices of n paired paths, each with every ensemble's values on it.
+
+    Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
+    paired with n > 1 paths comes whole, shape (1, n_points, dim), or with
+    ``broadcast`` as a read-only view repeated to the block's rows.
+    """
+    for start in range(0, n, _CHUNK_ROWS):
+        sl = slice(start, min(start + _CHUNK_ROWS, n))
+        blocks = []
+        for x in ensembles:
+            if x.n_paths == n:
+                blocks.append(x.values[sl])
+            elif broadcast:
+                blocks.append(np.broadcast_to(x.values, (sl.stop - start,) + x.values.shape[1:]))
+            else:
+                blocks.append(x.values)
+        yield (sl, *blocks)
+
+
 def second_moments(ensemble: PathEnsemble) -> np.ndarray:
     """Per-gridpoint E||r_t||^2 estimated by the path average."""
     if ensemble.values.size == 0:
         raise EmptyEnsembleError("empty ensemble")
     acc = np.zeros(ensemble.n_points)
-    for sl in _chunks(ensemble.n_paths):
-        block = ensemble.values[sl]
+    for _, block in _blocks(ensemble.n_paths, ensemble):
         acc += np.einsum("pjd,pjd->j", block, block)
     return acc / ensemble.n_paths
 
@@ -277,9 +287,7 @@ def l2_distance(a: PathEnsemble, b: PathEnsemble) -> float:
     """
     n = _pairing(a, b)
     acc = np.zeros(a.grid.n_points)
-    for sl in _chunks(n):
-        xa = a.values[sl] if a.n_paths == n else a.values
-        xb = b.values[sl] if b.n_paths == n else b.values
+    for _, xa, xb in _blocks(n, a, b):
         d = xa - xb
         acc += np.einsum("pjd,pjd->j", d, d)
     return float(np.sqrt(np.max(acc / n)))
@@ -317,8 +325,7 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     m = ensemble.grid.n_intervals
     acc = np.zeros(m)
     acc_sq = np.zeros(m)
-    for sl in _chunks(n):
-        block = ensemble.values[sl]
+    for _, block in _blocks(n, ensemble):
         d = block[:, 1:, :] - block[:, :-1, :]
         s = np.einsum("pjd,pjd->pj", d, d)
         acc += s.sum(axis=0)

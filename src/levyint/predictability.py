@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec
-from .ensembles import PathEnsemble, left_limit, second_moments, sup_l2_norm, _chunks
+from .ensembles import PathEnsemble, _blocks, left_limit, second_moments, sup_l2_norm
 from .errors import AdaptednessError, DomainError
 from .riemann import riemann_sum
 
@@ -129,8 +129,7 @@ def ito_isometry_check(
 
     dt = pphi.grid.dt
     rhs_samples = np.empty(pphi.n_paths)
-    for sl in _chunks(pphi.n_paths):
-        block = pphi.values[sl]
+    for sl, block in _blocks(pphi.n_paths, pphi):
         rhs_samples[sl] = c * np.einsum("pjd,pjd,j->p", block[:, :-1, :], block[:, :-1, :], dt)
 
     lhs = float(np.mean(lhs_samples))
@@ -156,8 +155,8 @@ def projection_vs_left_limit(phi: PathEnsemble) -> float:
     pphi = predictable_version(phi)
     ll = left_limit(phi)
     acc = np.zeros(phi.grid.n_points)
-    for sl in _chunks(pphi.n_paths):
-        d = pphi.values[sl] - ll.values[sl]
+    for _, pv, lv in _blocks(pphi.n_paths, pphi, ll):
+        d = pv - lv
         acc += np.einsum("pjd,pjd->j", d, d)
     moments = acc / pphi.n_paths
     return _left_quadrature(moments, phi.grid.dt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, martingale_part
-from .ensembles import PathEnsemble, TimeGrid, _chunks, _pairing
+from .ensembles import PathEnsemble, TimeGrid, _blocks, _pairing
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -99,10 +99,9 @@ def riemann_sum(
     pi = _partition_indices(phi.grid, partition)
     mi = _partition_indices(m.grid, partition)
     out = np.empty((n, phi.dim))
-    for sl in _chunks(n):
-        pv = (phi.values[sl] if phi.n_paths == n else phi.values)[:, pi[:-1], :]
-        mv = (m.values[sl] if m.n_paths == n else m.values)[:, mi, 0]
-        dm = np.diff(mv, axis=1)
+    for sl, pv, mv in _blocks(n, phi, m):
+        pv = pv[:, pi[:-1], :]
+        dm = np.diff(mv[:, mi, 0], axis=1)
         if pv.shape[0] == 1 and dm.shape[0] > 1:
             out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
         elif dm.shape[0] == 1 and pv.shape[0] > 1:
@@ -122,13 +121,9 @@ def integral_process(phi: PathEnsemble, m: PathEnsemble) -> PathEnsemble:
     n = _pairing(phi, m)
     if m.dim != 1:
         raise ConsistencyError("integrator must be scalar")
-    if phi.grid != m.grid:
-        raise ConsistencyError("cumulative integral needs a common grid")
     out = np.empty((n, phi.grid.n_points, phi.dim))
     out[:, 0, :] = 0.0
-    for sl in _chunks(n):
-        pv = phi.values[sl] if phi.n_paths == n else phi.values
-        mv = m.values[sl] if m.n_paths == n else m.values
+    for sl, pv, mv in _blocks(n, phi, m):
         steps = pv[:, :-1, :] * np.diff(mv[:, :, 0], axis=1)[:, :, None]
         np.cumsum(steps, axis=1, out=out[sl, 1:, :])
     return PathEnsemble(
@@ -145,8 +140,8 @@ def bochner_integral(phi: PathEnsemble) -> PathEnsemble:
     dt = phi.grid.dt
     out = np.empty_like(phi.values)
     out[:, 0, :] = 0.0
-    for sl in _chunks(phi.n_paths):
-        steps = phi.values[sl, :-1, :] * dt[None, :, None]
+    for sl, pv in _blocks(phi.n_paths, phi):
+        steps = pv[:, :-1, :] * dt[None, :, None]
         np.cumsum(steps, axis=1, out=out[sl, 1:, :])
     return PathEnsemble(
         values=out,
@@ -265,9 +260,9 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
     s_d = np.zeros(k)
     s_pd = np.zeros(k)
     s_pd2 = np.zeros(k)
-    for sl in _chunks(n):
-        pv = (phi.values[sl] if phi.n_paths == n else np.broadcast_to(phi.values, (sl.stop - sl.start,) + phi.values.shape[1:]))[:, :-1, :].mean(axis=2)
-        dv = np.diff((m.values[sl] if m.n_paths == n else m.values)[:, :, 0], axis=1)
+    for _, pv, mv in _blocks(n, phi, m, broadcast=True):
+        pv = pv[:, :-1, :].mean(axis=2)
+        dv = np.diff(mv[:, :, 0], axis=1)
         s_p += pv.sum(axis=0)
         s_d += dv.sum(axis=0)
         prod = pv * dv

@@ -237,7 +237,6 @@ def mild_solution_picard(
     tol: float = 1e-6,
     max_iter: int = 50,
     path_offset: int = 0,
-    threads: int = 1,
 ) -> tuple[PathEnsemble, PicardReport]:
     """Solve the mild fixed-point equation by Picard iteration.
 
@@ -261,7 +260,7 @@ def mild_solution_picard(
     """
     solution, (report,) = mild_solution_restarted(
         problem, grid, n_paths, seed, tol=tol, max_iter=max_iter, n_blocks=1,
-        path_offset=path_offset, threads=threads,
+        path_offset=path_offset,
     )
     return solution, report
 
@@ -275,7 +274,6 @@ def mild_solution_restarted(
     max_iter: int = 50,
     n_blocks: int = 2,
     path_offset: int = 0,
-    threads: int = 1,
 ) -> tuple[PathEnsemble, tuple[PicardReport, ...]]:
     """Chain Picard solves over consecutive sub-blocks of the grid.
 
@@ -297,9 +295,7 @@ def mild_solution_restarted(
     increments = []
     continuous = True
     for i, spec in enumerate(problem.drivers):
-        ens = simulate_paths(
-            spec, grid, n_paths, child_seed(seed, i), path_offset=path_offset, threads=threads
-        )
+        ens = simulate_paths(spec, grid, n_paths, child_seed(seed, i), path_offset=path_offset)
         # increments[i][j] is the contiguous path vector of step j
         increments.append(np.ascontiguousarray(np.diff(ens.values[:, :, 0], axis=1).T))
         continuous = continuous and ens.continuous

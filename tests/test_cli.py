@@ -167,16 +167,19 @@ class TestExitCodes:
             {"max_iter": 0},
             {"heat_dim": 3.5},
             {"max_iter": True},
+            {"drivers": [{"kind": "brownian"}]},
+            {"heat_dim": 2**62},
         ],
         ids=["alpha_no_coefficient", "sigma_no_coefficient", "tol_text", "heat_dim_text",
              "heat_dim_inf", "alpha_number", "sigma_value_length", "tol_nan", "max_iter0",
-             "heat_dim_fraction", "max_iter_bool"],
+             "heat_dim_fraction", "max_iter_bool", "drivers_key", "heat_dim_huge"],
     )
-    def test_malformed_spde_section_is_config_error(self, tmp_path, patch):
+    def test_malformed_spde_section_is_config_error(self, tmp_path, capsys, patch):
         cfg = _small_configs(tmp_path)["spde"]
         cfg = {**cfg, "spde": {**cfg["spde"], **patch}}
         path = _write(tmp_path, "bad_spde.json", cfg)
         assert main(["spde", "--config", path]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "kind, patch",
@@ -200,12 +203,19 @@ class TestExitCodes:
             ("simulate", {"seed": True}),
             ("simulate", {"paths": 10.5}),
             ("simulate", {"grid": {"horizon": 1.0, "steps": 2.7}}),
+            # counts past the array limit; numpy could not allocate these either
+            ("simulate", {"paths": 2**70}),
+            ("integrate", {"paths": 2**70, "grid": {"points": [0.0, 0.5, 1.0]}}),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 2**62}}),
+            ("converge", {"meshes": [0.5, 0.25, 2.0**-62]}),
+            ("diagnostics", {"paths": 2**62}),
         ],
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
              "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
              "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
-             "steps_fraction"],
+             "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
+             "mesh_huge", "spde_paths_huge"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch):
         cfg = {**_small_configs(tmp_path)[kind], **patch}
@@ -222,41 +232,39 @@ class TestExitCodes:
 
 
 class TestThreadControl:
-    def test_env_var_sets_thread_count(self, tmp_path, monkeypatch):
-        cfg = _small_configs(tmp_path)["simulate"]
-        path = _write(tmp_path, "t.json", cfg)
-        monkeypatch.setenv("LEVYINT_THREADS", "2")
-        assert main(["simulate", "--config", path]) == 0
-        stem = f"simulate-{parse_config({**cfg, 'experiment': 'simulate', 'threads': 2}).config_hash}"
-        manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        cfg = _small_configs(tmp_path)["simulate"]
-        path = _write(tmp_path, "t2.json", cfg)
-        monkeypatch.setenv("LEVYINT_THREADS", "4")
-        assert main(["simulate", "--config", path, "--threads", "1"]) == 0
-        stem = f"simulate-{parse_config({**cfg, 'experiment': 'simulate', 'threads': 1}).config_hash}"
-        assert (tmp_path / f"{stem}.csv").exists()
-
+    """Simulation runs on one thread; no input sets a thread count."""
 
     @pytest.mark.parametrize(
         "source, value",
-        [("env", "abc"), ("env", "0"), ("env", "2.5"), ("flag", "abc"), ("flag", "-3"),
-         ("config", -3), ("config", 2.5), ("config", None), ("config", True)],
+        [("flag", "abc"), ("flag", "-3"), ("flag", "2"),
+         ("config", -3), ("config", 2.5), ("config", None), ("config", True), ("config", 2)],
     )
-    def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch, capsys, source, value):
+    def test_bad_thread_count_is_config_error(self, tmp_path, capsys, source, value):
         cfg = _small_configs(tmp_path)["simulate"]
-        flags = []
-        if source == "env":
-            monkeypatch.setenv("LEVYINT_THREADS", value)
-        elif source == "flag":
-            flags = ["--threads", value]
+        if source == "flag":
+            path = _write(tmp_path, "t.json", cfg)
+            with pytest.raises(SystemExit) as exc:  # argparse: unrecognized argument
+                main(["simulate", "--config", path, "--threads", value])
+            assert exc.value.code == 2
         else:
-            cfg = {**cfg, "threads": value}
-        path = _write(tmp_path, "t3.json", cfg)
-        assert main(["simulate", "--config", path, *flags]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            path = _write(tmp_path, "t.json", {**cfg, "threads": value})
+            assert main(["simulate", "--config", path]) == 2
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_thread_env_var_is_ignored(self, tmp_path, monkeypatch):
+        cfg = _small_configs(tmp_path)["simulate"]
+        path = _write(tmp_path, "t.json", cfg)
+        stem = f"simulate-{parse_config({**cfg, 'experiment': 'simulate'}).config_hash}"
+        artifacts = []
+        for value in (None, "2", "abc"):
+            if value is None:
+                monkeypatch.delenv("LEVYINT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LEVYINT_THREADS", value)
+            assert main(["simulate", "--config", path]) == 0
+            artifacts.append([(tmp_path / f"{stem}{ext}").read_bytes()
+                              for ext in (".csv", ".manifest.json")])
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
 
 
 class TestDeterminism:
@@ -297,7 +305,7 @@ class TestDeterminism:
 
 # one config per experiment that between them hold every section and key
 _FUZZ_BASES = [
-    {"experiment": "simulate", "seed": 1, "paths": 8, "threads": 1, "out": "o",
+    {"experiment": "simulate", "seed": 1, "paths": 8, "out": "o",
      "tolerances": {"z_max": 4.0, "exact": 1e-12},
      "driver": {"kind": "compound_poisson", "rate": 2.0, "compensated": True, "drift": 0.0,
                 "jump_law": {"kind": "normal", "loc": 0.1, "scale": 0.5}},

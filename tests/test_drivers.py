@@ -173,14 +173,6 @@ class TestDeterminism:
         b = li.simulate_paths(li.Brownian(), grid100, 300, 78)
         assert not np.array_equal(a.values, b.values)
 
-    def test_threads_do_not_change_output(self, grid100):
-        a = li.simulate_paths(li.CompoundPoisson(rate=3.0), grid100, 500, 9, threads=1)
-        b = li.simulate_paths(li.CompoundPoisson(rate=3.0), grid100, 500, 9, threads=2)
-        assert np.array_equal(a.values, b.values)
-        assert all(
-            np.array_equal(ra.times, rb.times) for ra, rb in zip(a.jumps, b.jumps)
-        )
-
     def test_path_offset_reproduces_slices(self, grid100):
         full = li.simulate_paths(li.Brownian(), grid100, 50, 13)
         lo = li.simulate_paths(li.Brownian(), grid100, 30, 13, path_offset=0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,72 @@ class TestPathEnsemble:
         finally:
             ens_mod._CHUNK_ROWS = old
         assert abs(full - chunked) < 1e-9
+
+
+def _reduction_outputs():
+    """Every path reduction on fixed ensembles: sampled and deterministic
+    curves on each side, a 2-coordinate integrand, and jumps on grid points."""
+    grid = li.TimeGrid.uniform(1.0, 24)
+    part = li.uniform_partition(grid, 1.0, 0.125)
+    bw = li.simulate_paths(li.Brownian(), grid, 300, 3)
+    cp_spec = li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps())
+    cp = li.simulate_paths(cp_spec, grid, 300, 4)
+    records = tuple(
+        li.JumpRecord(times=grid.points[[1 + p % 20, 22]], sizes=np.array([1.0, -0.5 * (p % 3)]))
+        for p in range(300)
+    )
+    hit = li.PathEnsemble(np.stack([r.values_at(grid.points) for r in records]), grid,
+                          adapted=True, jumps=records)
+    two = li.PathEnsemble(np.concatenate([bw.values, hit.values], axis=2), grid,
+                          adapted=True, jumps=records)
+    ramp = li.PathEnsemble.deterministic(grid, lambda t: t)
+    curve2 = li.PathEnsemble.deterministic(grid, lambda t: np.stack([t, 1 - t * t], axis=1), dim=2)
+    square = li.PathEnsemble.deterministic(grid, lambda t: t * t)
+
+    out = []
+    for x in (bw, cp, two, ramp):
+        out.append(li.second_moments(x))
+        rep = li.ms_continuity_modulus(x)
+        out += [rep.norms, rep.standard_errors]
+    for a, b in ((bw, cp), (bw, ramp), (ramp, cp), (curve2, two)):
+        out.append(li.l2_distance(a, b))
+    for phi, m, p in ((bw, cp, grid), (ramp, bw, part), (two, square, grid), (bw, bw, part),
+                      (curve2, cp, part)):
+        out.append(li.riemann_sum(phi, m, p).values)
+    for phi, m in ((bw, cp), (ramp, bw), (two, square), (ramp, square), (curve2, cp)):
+        out.append(li.integral_process(phi, m).values)
+    for phi in (bw, two, ramp):
+        out.append(li.bochner_integral(phi).values)
+    # a single-path integrator is left out here: its z-scores were miscounted
+    for phi, m in ((bw, cp), (ramp, bw), (two, cp), (curve2, bw)):
+        out.append(li.increment_independence_z(phi, m))
+    for phi, spec, m in ((bw, li.Brownian(), bw), (ramp, li.Brownian(), bw),
+                         (two, cp_spec, cp), (bw, li.Brownian(), square)):
+        rep = li.ito_isometry_check(phi, spec, m)
+        out.append([rep.lhs, rep.rhs, rep.se_lhs, rep.se_rhs, rep.z_score])
+    for phi in (cp, hit, two):
+        out.append(li.projection_vs_left_limit(phi))
+    return out
+
+
+class TestReductionGoldens:
+    """sha256 of every path reduction at three block sizes, recorded before
+    the reductions shared one block iterator; a change here means the
+    numbers changed."""
+
+    @pytest.mark.parametrize(
+        "rows, expect",
+        [
+            (4096, "f485090299b4833be63e7fa11ca930d23df99fbf62f91e1286f3183d1685c722"),
+            (137, "3aff9bcb8e7ad3e2b94f29a49c96b8ad4676a3683438afa023f2ed4c7fe2086e"),
+            (1, "8e3b9549100d262c7ac7dd1c46ad53208310ba97611975b791df1fa7dfb65e38"),
+        ],
+    )
+    def test_reductions(self, monkeypatch, rows, expect):
+        import levyint.ensembles as ens_mod
+
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        h = hashlib.sha256()
+        for value in _reduction_outputs():
+            h.update(np.asarray(value, dtype=np.float64).tobytes())
+        assert h.hexdigest() == expect

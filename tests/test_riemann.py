@@ -104,6 +104,11 @@ class TestIntegralProcess:
         phi = li.predictable_version(x)
         z = li.increment_independence_z(phi, x)
         assert np.max(np.abs(z)) < 4.5
+        # a deterministic integrator's increments are independent of any
+        # integrand, so every covariance is 0 up to roundoff
+        w = li.simulate_paths(li.Brownian(), grid100, 5000, 52)
+        curve = li.PathEnsemble.deterministic(grid100, lambda t: t * t)
+        assert np.max(np.abs(li.increment_independence_z(w, curve))) < 1e-9
 
 
 class TestBochnerIntegral:

@@ -381,14 +381,6 @@ class TestSolverEquivalence:
             part, _ = li.mild_solution_picard(prob, grid, hi - lo, 5, path_offset=lo, **kw)
             assert np.array_equal(part.values, whole.values[lo:hi])
 
-    def test_threads_leave_output_unchanged(self):
-        prob = _readme_problem()
-        grid = li.TimeGrid.uniform(1.0, 32)
-        one, rep1 = li.mild_solution_picard(prob, grid, 80, 6, tol=1e-4, max_iter=15)
-        two, rep2 = li.mild_solution_picard(prob, grid, 80, 6, tol=1e-4, max_iter=15, threads=2)
-        assert np.array_equal(one.values, two.values)
-        assert rep1 == rep2
-
 
 class TestGoldenDigests:
     """sha256 of solver and convolution outputs, recorded before the solvers
