@@ -34,7 +34,7 @@ from .drivers import (
     simulate_paths,
     standard_poisson,
 )
-from .ensembles import PathEnsemble, TimeGrid, ensemble_rows, sup_l2_norm
+from .ensembles import PathEnsemble, TimeGrid, _mean_se, ensemble_rows, sup_l2_norm
 from .errors import ConfigError, NumericError, ToolkitError
 from .identities import poisson_identity_check
 from .predictability import ito_isometry_check, predictable_version
@@ -317,7 +317,12 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
     paths = _integer(cfg["paths"], "paths")
     grid_cfg = cfg["grid"]
     if grid_cfg is None and kind == "converge":
-        grid_cfg = {"horizon": 1.0, "steps": round(1.0 / float(parsed["meshes"][-1]))}
+        # checked in floats: a subnormal finest mesh has no finite step count
+        finest = float(parsed["meshes"][-1])
+        if 1.0 / finest + 1.0 > _MAX_ARRAY_BYTES / 8:
+            raise ConfigError(f"meshes: the finest mesh {finest!r} needs more grid points "
+                              f"than the {_MAX_ARRAY_BYTES}-byte array limit holds")
+        grid_cfg = {"horizon": 1.0, "steps": round(1.0 / finest)}
     # diagnostics also solves on a grid of twice the steps
     per_point = paths * (parsed["problem"].dim if "problem" in parsed else 1)
     grid = grid_from_config(grid_cfg, per_point * (2 if kind == "diagnostics" else 1))
@@ -355,7 +360,7 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     m = martingale_part(spec, ens)
     mt = m.values[:, -1, 0]
     var = float(np.var(mt, ddof=1)) if cfg.paths > 1 else 0.0
-    se = float(np.std((mt - mt.mean()) ** 2, ddof=1) / np.sqrt(cfg.paths)) if cfg.paths > 2 else np.inf
+    se = _mean_se((mt - mt.mean()) ** 2)[1] if cfg.paths > 2 else np.inf
     k = cfg.tolerances["se_multiplier"]
     checks = [
         ("terminal_variance_matches_bracket", abs(var - c * grid.horizon) <= k * se if np.isfinite(se) else True,
@@ -377,8 +382,7 @@ def _run_integrate(cfg: ExperimentConfig) -> RunResult:
         resid = float(np.max(np.abs(terminal - (x.values[:, -1, 0] - x.values[:, 0, 0]))))
         checks.append(("telescoping", resid < cfg.tolerances["exact"], {"residual": resid}))
     if spec.martingale_drift == 0.0 and cfg.paths > 2:
-        se = float(np.std(terminal, ddof=1) / np.sqrt(cfg.paths))
-        mean = float(np.mean(terminal))
+        mean, se = _mean_se(terminal)
         k = cfg.tolerances["se_multiplier"]
         checks.append(("martingale_mean_zero", abs(mean) <= k * se or se == 0.0,
                        {"mean": mean, "se": se}))

@@ -117,10 +117,6 @@ class LevySpec(abc.ABC):
     def martingale_drift(self) -> float:
         """Rate b in the decomposition X_t = M_t + b*t."""
 
-    @property
-    @abc.abstractmethod
-    def has_jumps(self) -> bool: ...
-
 
 @dataclass(frozen=True)
 class Brownian(LevySpec):
@@ -141,10 +137,6 @@ class Brownian(LevySpec):
     def martingale_drift(self) -> float:
         return self.drift
 
-    @property
-    def has_jumps(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class CompensatedPoisson(LevySpec):
@@ -164,10 +156,6 @@ class CompensatedPoisson(LevySpec):
     @property
     def martingale_drift(self) -> float:
         return self.drift
-
-    @property
-    def has_jumps(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -198,10 +186,6 @@ class CompoundPoisson(LevySpec):
     def martingale_drift(self) -> float:
         comp = 0.0 if self.compensated else self.rate * self.jump_law.mean()
         return self.drift + comp
-
-    @property
-    def has_jumps(self) -> bool:
-        return True
 
 
 def standard_poisson(rate: float = 1.0) -> CompensatedPoisson:
@@ -323,7 +307,7 @@ def simulate_paths(
         values=values,
         grid=grid,
         adapted=True,
-        continuous=not spec.has_jumps,
+        continuous=jumps is None,
         jumps=tuple(jumps) if jumps is not None else None,
         meta={"spec": spec, "seed": int(seed), "path_offset": int(path_offset)},
     )

@@ -199,11 +199,6 @@ class PathEnsemble:
         kwargs.update(overrides)
         return PathEnsemble(values=values, **kwargs)
 
-    def scalar_values(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ConsistencyError(f"expected scalar ensemble, dim={self.dim}")
-        return self.values[:, :, 0]
-
     @classmethod
     def deterministic(
         cls,
@@ -265,6 +260,30 @@ def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False) -> Iterat
         yield (sl, *blocks)
 
 
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    se = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
+    return float(np.mean(samples)), se
+
+
+def _streamed_mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple:
+    """Mean and its standard error from running sums of x and x^2 over n samples."""
+    mean = total / n
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
+def _gap_moments(a: PathEnsemble, b: PathEnsemble, n: int) -> np.ndarray:
+    """Per-gridpoint E||a_t - b_t||^2 over n paired paths."""
+    acc = np.zeros(a.grid.n_points)
+    for _, xa, xb in _blocks(n, a, b):
+        d = xa - xb
+        acc += np.einsum("pjd,pjd->j", d, d)
+    return acc / n
+
+
 def second_moments(ensemble: PathEnsemble) -> np.ndarray:
     """Per-gridpoint E||r_t||^2 estimated by the path average."""
     if ensemble.values.size == 0:
@@ -285,12 +304,7 @@ def l2_distance(a: PathEnsemble, b: PathEnsemble) -> float:
 
     Single-path (deterministic) ensembles broadcast against sampled ones.
     """
-    n = _pairing(a, b)
-    acc = np.zeros(a.grid.n_points)
-    for _, xa, xb in _blocks(n, a, b):
-        d = xa - xb
-        acc += np.einsum("pjd,pjd->j", d, d)
-    return float(np.sqrt(np.max(acc / n)))
+    return float(np.sqrt(np.max(_gap_moments(a, b, _pairing(a, b)))))
 
 
 @dataclass(frozen=True)
@@ -322,20 +336,14 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     if ensemble.grid.n_points < 2:
         raise GridError("modulus needs at least two grid points")
     n = ensemble.n_paths
-    m = ensemble.grid.n_intervals
-    acc = np.zeros(m)
-    acc_sq = np.zeros(m)
+    acc = np.zeros(ensemble.grid.n_intervals)
+    acc_sq = np.zeros(ensemble.grid.n_intervals)
     for _, block in _blocks(n, ensemble):
         d = block[:, 1:, :] - block[:, :-1, :]
         s = np.einsum("pjd,pjd->pj", d, d)
         acc += s.sum(axis=0)
         acc_sq += (s * s).sum(axis=0)
-    mean_sq = acc / n
-    if n > 1:
-        var_sq = np.maximum(acc_sq / n - mean_sq**2, 0.0) * n / (n - 1)
-        se_mean = np.sqrt(var_sq / n)
-    else:
-        se_mean = np.zeros(m)
+    mean_sq, se_mean = _streamed_mean_se(acc, acc_sq, n)
     norms = np.sqrt(mean_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         se_norm = np.where(norms > 0, se_mean / (2 * np.maximum(norms, 1e-300)), 0.0)

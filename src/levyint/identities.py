@@ -20,7 +20,7 @@ import numpy as np
 from .drivers import reject_coincident_jumps, simulate_paths, standard_poisson
 from .ensembles import JumpRecord, TimeGrid
 from .errors import DomainError, InsufficientDataError
-from .riemann import MeshStudy, fit_rate_exponent, riemann_sum, uniform_partition
+from .riemann import MeshStudy, _mesh_study, uniform_partition
 from . import drivers
 
 
@@ -55,16 +55,13 @@ def stieltjes_integral(
     jumps: JumpRecord,
     t: float,
     integrand_rule: Literal["left_limit", "current_value"],
-    drift: float = 0.0,
 ) -> float:
     """Pathwise self-integral of a pure-jump path up to time t.
 
-    The integrator is the pure-jump path described by the record (no drift
-    part is allowed in the differential); the integrand is the same path
-    evaluated either just before each jump or at the jump itself.
+    The integrator is the pure-jump path described by the record; the
+    integrand is the same path evaluated either just before each jump or at
+    the jump itself.
     """
-    if drift != 0.0:
-        raise DomainError("the pathwise Stieltjes sum is defined for pure-jump integrators")
     if integrand_rule not in ("left_limit", "current_value"):
         raise DomainError(f"unknown integrand rule {integrand_rule!r}")
     mask = jumps.times <= t
@@ -143,23 +140,6 @@ def brownian_ito_identity_check(
         raise InsufficientDataError("meshes must be strictly decreasing")
     grid = TimeGrid.uniform(horizon, int(round(horizon / meshes[-1])))
     w = simulate_paths(drivers.Brownian(volatility=1.0), grid, n_paths, seed)
-    w_t = w.values[:, -1, 0]
-    oracle = 0.5 * (w_t * w_t - horizon)
-
-    rows = []
-    for h in meshes:
-        part = uniform_partition(grid, horizon, h)
-        sums = riemann_sum(w, w, part).scalar()
-        sq = (sums - oracle) ** 2
-        se = float(np.std(sq, ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else 0.0
-        rows.append((float(part.mesh), float(np.mean(sq)), se))
-    used = np.array([r[0] for r in rows])
-    sq_diffs = np.array([r[1] for r in rows])
-    ses = np.array([r[2] for r in rows])
-    return MeshStudy(
-        meshes=used,
-        sq_differences=sq_diffs,
-        standard_errors=ses,
-        rate_exponent=fit_rate_exponent(used, sq_diffs),
-        reference_mesh=None,
-    )
+    oracle = 0.5 * (w.values[:, -1, :] ** 2 - horizon)
+    partitions = [uniform_partition(grid, horizon, h) for h in meshes]
+    return _mesh_study(w, w, partitions, oracle, reference_mesh=None)

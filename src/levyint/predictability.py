@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec
-from .ensembles import PathEnsemble, _blocks, left_limit, second_moments, sup_l2_norm
+from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, left_limit,
+                        second_moments, sup_l2_norm)
 from .errors import AdaptednessError, DomainError
 from .riemann import riemann_sum
 
@@ -83,8 +84,6 @@ def _left_quadrature(moments: np.ndarray, dt: np.ndarray) -> float:
 
 def embedding_norm_check(phi: PathEnsemble) -> EmbeddingReport:
     """Check integral of E||pPhi_t||^2 dt <= T * sup_t E||Phi_t||^2 on the grid."""
-    if not phi.adapted:
-        raise AdaptednessError("embedding bound applies to adapted curves")
     pphi = predictable_version(phi)
     lhs = _left_quadrature(second_moments(pphi), phi.grid.dt)
     rhs = phi.grid.horizon * float(np.max(second_moments(phi)))
@@ -98,8 +97,6 @@ def injectivity_witness(phi: PathEnsemble, tol: float = 1e-9) -> InjectivityRepo
     vanishing quadrature caps the attainable sup; the matched sup tolerance
     is sqrt(tol / min interval).
     """
-    if not phi.adapted:
-        raise AdaptednessError("injectivity witness applies to adapted curves")
     pphi = predictable_version(phi)
     seminorm_sq = _left_quadrature(second_moments(pphi), phi.grid.dt)
     sup = sup_l2_norm(phi)
@@ -132,14 +129,12 @@ def ito_isometry_check(
     for sl, block in _blocks(pphi.n_paths, pphi):
         rhs_samples[sl] = c * np.einsum("pjd,pjd,j->p", block[:, :-1, :], block[:, :-1, :], dt)
 
-    lhs = float(np.mean(lhs_samples))
-    rhs = float(np.mean(rhs_samples))
-    se_lhs = float(np.std(lhs_samples, ddof=1) / np.sqrt(lhs_samples.size)) if lhs_samples.size > 1 else 0.0
-    se_rhs = float(np.std(rhs_samples, ddof=1) / np.sqrt(rhs_samples.size)) if rhs_samples.size > 1 else 0.0
-
-    diff = lhs_samples - (rhs_samples if rhs_samples.size == lhs_samples.size else rhs)
-    se_diff = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
-    z = float(np.mean(diff) / se_diff) if se_diff > 0 else 0.0
+    lhs, se_lhs = _mean_se(lhs_samples)
+    rhs, se_rhs = _mean_se(rhs_samples)
+    mean_diff, se_diff = _mean_se(
+        lhs_samples - (rhs_samples if rhs_samples.size == lhs_samples.size else rhs)
+    )
+    z = mean_diff / se_diff if se_diff > 0 else 0.0
     return IsometryReport(
         lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs, z_score=z, n_paths=n
     )
@@ -153,10 +148,5 @@ def projection_vs_left_limit(phi: PathEnsemble) -> float:
     the predictable-representative code path.
     """
     pphi = predictable_version(phi)
-    ll = left_limit(phi)
-    acc = np.zeros(phi.grid.n_points)
-    for _, pv, lv in _blocks(pphi.n_paths, pphi, ll):
-        d = pv - lv
-        acc += np.einsum("pjd,pjd->j", d, d)
-    moments = acc / pphi.n_paths
+    moments = _gap_moments(pphi, left_limit(phi), pphi.n_paths)
     return _left_quadrature(moments, phi.grid.dt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, martingale_part
-from .ensembles import PathEnsemble, TimeGrid, _blocks, _pairing
+from .ensembles import PathEnsemble, TimeGrid, _blocks, _mean_se, _pairing, _streamed_mean_se
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -111,6 +111,18 @@ def riemann_sum(
     return RiemannSumResult(values=out, partition=partition, mesh=partition.mesh)
 
 
+def _left_sums(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
+    """Per-path cumulative sums of phi at left endpoints times increments of
+    the scalar m, starting at 0 on the common grid."""
+    n = max(phi.n_paths, m.n_paths)
+    out = np.empty((n, phi.grid.n_points, phi.dim))
+    out[:, 0, :] = 0.0
+    for sl, pv, mv in _blocks(n, phi, m):
+        steps = pv[:, :-1, :] * np.diff(mv[:, :, 0], axis=1)[:, :, None]
+        np.cumsum(steps, axis=1, out=out[sl, 1:, :])
+    return out
+
+
 def integral_process(phi: PathEnsemble, m: PathEnsemble) -> PathEnsemble:
     """Cumulative left-endpoint sums of phi against m on their common grid.
 
@@ -118,16 +130,11 @@ def integral_process(phi: PathEnsemble, m: PathEnsemble) -> PathEnsemble:
     integrator is.
     """
     _require_adapted(phi)
-    n = _pairing(phi, m)
+    _pairing(phi, m)
     if m.dim != 1:
         raise ConsistencyError("integrator must be scalar")
-    out = np.empty((n, phi.grid.n_points, phi.dim))
-    out[:, 0, :] = 0.0
-    for sl, pv, mv in _blocks(n, phi, m):
-        steps = pv[:, :-1, :] * np.diff(mv[:, :, 0], axis=1)[:, :, None]
-        np.cumsum(steps, axis=1, out=out[sl, 1:, :])
     return PathEnsemble(
-        values=out,
+        values=_left_sums(phi, m),
         grid=phi.grid,
         adapted=True,
         continuous=m.continuous,
@@ -136,15 +143,13 @@ def integral_process(phi: PathEnsemble, m: PathEnsemble) -> PathEnsemble:
 
 
 def bochner_integral(phi: PathEnsemble) -> PathEnsemble:
-    """Cumulative left-endpoint time quadrature: sum of phi_{t_i} * dt_i."""
-    dt = phi.grid.dt
-    out = np.empty_like(phi.values)
-    out[:, 0, :] = 0.0
-    for sl, pv in _blocks(phi.n_paths, phi):
-        steps = pv[:, :-1, :] * dt[None, :, None]
-        np.cumsum(steps, axis=1, out=out[sl, 1:, :])
+    """Cumulative left-endpoint time quadrature: sum of phi_{t_i} * dt_i.
+
+    This is the left sum of phi against the time curve t, so phi need not be
+    adapted; the result keeps phi's adaptedness flag.
+    """
     return PathEnsemble(
-        values=out,
+        values=_left_sums(phi, PathEnsemble.deterministic(phi.grid, lambda t: t)),
         grid=phi.grid,
         adapted=phi.adapted,
         continuous=True,
@@ -158,9 +163,6 @@ def levy_integral(phi: PathEnsemble, spec: LevySpec, x: PathEnsemble) -> PathEns
     Computed literally as the martingale-part integral plus b times the time
     quadrature, so the decomposition recombines exactly per path.
     """
-    src = x.meta.get("spec")
-    if src is not None and src != spec:
-        raise ConsistencyError(f"driver ensemble was simulated from {src!r}, not {spec!r}")
     m = martingale_part(spec, x)
     mart = integral_process(phi, m)
     b = spec.martingale_drift
@@ -193,27 +195,26 @@ def mesh_convergence_study(
 
     partitions = [uniform_partition(phi.grid, t, h) for h in meshes]
     ref = riemann_sum(phi, m, partitions[-1]).values
+    return _mesh_study(phi, m, partitions[:-1], ref, float(partitions[-1].mesh))
+
+
+def _mesh_study(phi: PathEnsemble, m: PathEnsemble, partitions: list[TimeGrid],
+                reference: np.ndarray, reference_mesh: float | None) -> MeshStudy:
+    """E||Y_mesh - reference||^2 with standard errors for each partition.
+
+    ``reference`` holds per-path values of shape (n_paths, dim).  A finest
+    ``reference_mesh`` closes the table with its zero self-difference; the
+    rate fit uses the positive entries only.
+    """
     rows = []
-    for part in partitions[:-1]:
-        diff = riemann_sum(phi, m, part).values - ref
-        sq = np.einsum("pd,pd->p", diff, diff)
-        n = sq.size
-        se = float(np.std(sq, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        rows.append((float(part.mesh), float(np.mean(sq)), se))
-    # the reference mesh closes the table with its zero self-difference; the
-    # rate fit uses the positive entries only
-    rows.append((float(partitions[-1].mesh), 0.0, 0.0))
-    used_meshes = np.array([r[0] for r in rows])
-    sq_diffs = np.array([r[1] for r in rows])
-    ses = np.array([r[2] for r in rows])
-    exponent = fit_rate_exponent(used_meshes, sq_diffs)
-    return MeshStudy(
-        meshes=used_meshes,
-        sq_differences=sq_diffs,
-        standard_errors=ses,
-        rate_exponent=exponent,
-        reference_mesh=float(partitions[-1].mesh),
-    )
+    for part in partitions:
+        diff = riemann_sum(phi, m, part).values - reference
+        rows.append((float(part.mesh), *_mean_se(np.einsum("pd,pd->p", diff, diff))))
+    if reference_mesh is not None:
+        rows.append((reference_mesh, 0.0, 0.0))
+    meshes, sq_diffs, ses = (np.array(column) for column in zip(*rows))
+    return MeshStudy(meshes=meshes, sq_differences=sq_diffs, standard_errors=ses,
+                     rate_exponent=fit_rate_exponent(meshes, sq_diffs), reference_mesh=reference_mesh)
 
 
 def uniform_partition(grid: TimeGrid, t: float, mesh: float) -> TimeGrid:
@@ -268,10 +269,7 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
         prod = pv * dv
         s_pd += prod.sum(axis=0)
         s_pd2 += (prod * prod).sum(axis=0)
-    mean_p, mean_d, mean_pd = s_p / n, s_d / n, s_pd / n
-    cov = mean_pd - mean_p * mean_d
     # SE of the covariance estimated from the spread of the products
-    var_pd = np.maximum(s_pd2 / n - mean_pd**2, 0.0) * n / (n - 1)
-    se = np.sqrt(var_pd / n)
-    z = np.where(se > 0, cov / np.maximum(se, 1e-300), 0.0)
-    return z
+    mean_pd, se = _streamed_mean_se(s_pd, s_pd2, n)
+    cov = mean_pd - (s_p / n) * (s_d / n)
+    return np.where(se > 0, cov / np.maximum(se, 1e-300), 0.0)

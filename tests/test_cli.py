@@ -209,19 +209,23 @@ class TestExitCodes:
             ("simulate", {"grid": {"horizon": 1.0, "steps": 2**62}}),
             ("converge", {"meshes": [0.5, 0.25, 2.0**-62]}),
             ("diagnostics", {"paths": 2**62}),
+            ("converge", {"meshes": [0.5, 0.25, 1e-310]}),
         ],
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
              "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
              "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
              "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
-             "mesh_huge", "spde_paths_huge"],
+             "mesh_huge", "spde_paths_huge", "mesh_subnormal"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch):
         cfg = {**_small_configs(tmp_path)[kind], **patch}
         path = _write(tmp_path, "bad_cfg.json", cfg)
         assert main([kind, "--config", path]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        if "meshes" in patch:
+            assert "meshes" in err[0]
 
     def test_unwritable_target_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -26,11 +26,6 @@ class TestStieltjesIntegral:
         rec = li.JumpRecord(times=np.array([0.2, 0.8]), sizes=np.array([1.0, 1.0]))
         assert li.stieltjes_integral(rec, 0.5, "current_value") == 1.0
 
-    def test_drift_rejected(self):
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
-        with pytest.raises(DomainError):
-            li.stieltjes_integral(rec, 1.0, "current_value", drift=1.0)
-
     def test_unknown_rule_rejected(self):
         rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
         with pytest.raises(DomainError):

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import levyint as li
+from levyint.cli import main
 from levyint.errors import AdaptednessError, GridError, InsufficientDataError
 
 
@@ -208,3 +212,50 @@ class TestUniformPartition:
         grid = li.TimeGrid.uniform(1.0, 100)
         with pytest.raises(GridError):
             li.uniform_partition(grid, 1.0, 0.3)
+
+
+def _study_outputs(tmp_path):
+    """Every mesh-study table and the standard-error checks of CLI manifests."""
+    grid = li.TimeGrid.uniform(1.0, 64)
+    meshes = [2.0**-k for k in range(7)]
+    w = li.simulate_paths(li.Brownian(), grid, 300, 21)
+    cp = li.simulate_paths(li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps()), grid, 300, 22)
+    two = li.PathEnsemble(np.concatenate([w.values, cp.values], axis=2), grid, adapted=True)
+    ramp = li.PathEnsemble.deterministic(grid, lambda t: t)
+    studies = [li.mesh_convergence_study(phi, m, meshes, 1.0)
+               for phi, m in ((w, w), (li.left_limit(cp), cp), (two, w), (ramp, cp))]
+    for ms, paths in (([0.25], 200), ([0.25, 0.125], 200), ([0.25, 0.125, 0.0625], 200),
+                      ([0.5, 0.25], 1)):
+        studies.append(li.brownian_ito_identity_check(1.0, ms, paths, 5))
+    out = []
+    for s in studies:
+        ref = np.nan if s.reference_mesh is None else s.reference_mesh
+        out += [s.meshes, s.sq_differences, s.standard_errors, s.rate_exponent, ref]
+
+    base = {"seed": 3, "paths": 64, "grid": {"horizon": 1.0, "steps": 32}}
+    configs = [
+        ("integrate", {**base, "driver": {"kind": "compensated_poisson", "rate": 2.0},
+                       "integrand": "ones"}),
+        ("integrate", {**base, "driver": {"kind": "brownian"}, "integrand": "driver"}),
+        ("simulate", {**base, "driver": {"kind": "compound_poisson"}}),
+    ]
+    for i, (kind, cfg) in enumerate(configs):
+        out_dir = tmp_path / f"run{i}"
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps({**cfg, "out": str(out_dir)}))
+        main([kind, "--config", str(path)])
+        manifest = json.loads(next(out_dir.glob("*.manifest.json")).read_text())
+        out.append(np.frombuffer(json.dumps(manifest["checks"], sort_keys=True).encode(), np.uint8))
+    return out
+
+
+class TestStudyGoldens:
+    """sha256 of every mesh-study table (finest-mesh and closed-form
+    references, one-path runs included) and of the standard-error checks in
+    CLI manifests; a change here means the numbers changed."""
+
+    def test_studies(self, tmp_path):
+        h = hashlib.sha256()
+        for value in _study_outputs(tmp_path):
+            h.update(np.asarray(value).tobytes())
+        assert h.hexdigest() == "f181cdb72cafbf70502f9d8f8fc63e51931251ad47d796e21a2efb27273188f8"
