@@ -317,6 +317,8 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
     paths = _integer(cfg["paths"], "paths")
     grid_cfg = cfg["grid"]
     if grid_cfg is None and kind == "converge":
+        if not parsed["meshes"].size:
+            raise ConfigError("meshes must list at least one mesh when no grid is given")
         # checked in floats: a subnormal finest mesh has no finite step count
         finest = float(parsed["meshes"][-1])
         if 1.0 / finest + 1.0 > _MAX_ARRAY_BYTES / 8:

@@ -120,7 +120,7 @@ class JumpRecord:
         s = _readonly(np.asarray(self.sizes, dtype=np.float64).ravel())
         if t.size != s.size:
             raise ConsistencyError("jump times and sizes must have equal length")
-        if t.size and not np.all(np.diff(t) > 0.0):
+        if not (t[1:] > t[:-1]).all():
             raise ConsistencyError("jump times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)
@@ -377,7 +377,9 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
 
     At a grid point that coincides exactly with a recorded jump time the
     value is replaced by the value just before that jump; everywhere else the
-    path is unchanged.  Continuous ensembles and ensembles already flagged as
+    path is unchanged.  When no jump time sits on a grid point (the usual case
+    for sampled jumps) the result shares the input's read-only values instead
+    of copying them.  Continuous ensembles and ensembles already flagged as
     left-limit representatives are returned as-is (the map is idempotent).
     """
     if ensemble.grid_predictable:
@@ -388,17 +390,18 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
         raise MissingJumpDataError(
             "discontinuous ensemble without jump records has no computable left limit"
         )
-    values = np.array(ensemble.values)
     pts = ensemble.grid.points
-    n_pts = ensemble.grid.n_points
-    for p, rec in enumerate(ensemble.jumps):
-        if rec.count == 0:
-            continue
-        idx = np.searchsorted(pts, rec.times)
-        on_grid = idx < n_pts
-        on_grid[on_grid] &= pts[idx[on_grid]] == rec.times[on_grid]
-        if np.any(on_grid):
-            values[p, idx[on_grid], :] -= rec.sizes[on_grid, None]
+    times = np.concatenate([rec.times for rec in ensemble.jumps])
+    idx = np.searchsorted(pts, times)
+    hit = idx < pts.size
+    hit[hit] = pts[idx[hit]] == times[hit]
+    values = ensemble.values
+    if hit.any():
+        # a path's jump times increase strictly, so no (row, index) repeats
+        rows = np.repeat(np.arange(ensemble.n_paths), [rec.count for rec in ensemble.jumps])
+        sizes = np.concatenate([rec.sizes for rec in ensemble.jumps])
+        values = values.copy()
+        values[rows[hit], idx[hit], :] -= sizes[hit, None]
     return ensemble.with_values(values, grid_predictable=True)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .drivers import reject_coincident_jumps, simulate_paths, standard_poisson
 from .ensembles import JumpRecord, TimeGrid
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, ParameterError
 from .riemann import MeshStudy, _mesh_study, uniform_partition
 from . import drivers
 
@@ -138,7 +138,15 @@ def brownian_ito_identity_check(
         raise InsufficientDataError("need at least one mesh")
     if np.any(np.diff(meshes) >= 0):
         raise InsufficientDataError("meshes must be strictly decreasing")
-    grid = TimeGrid.uniform(horizon, int(round(horizon / meshes[-1])))
+    if not np.all(np.isfinite(meshes) & (meshes > 0.0)):
+        raise ParameterError(f"meshes must be finite and positive, got {meshes.tolist()!r}")
+    with np.errstate(over="ignore"):
+        steps = horizon / meshes[-1]
+    # NaN and inf fail this too
+    if not steps < np.iinfo(np.intp).max:
+        raise ParameterError(f"horizon {horizon!r} over the finest mesh {float(meshes[-1])!r} "
+                             "gives no indexable step count")
+    grid = TimeGrid.uniform(horizon, int(round(steps)))
     w = simulate_paths(drivers.Brownian(volatility=1.0), grid, n_paths, seed)
     oracle = 0.5 * (w.values[:, -1, :] ** 2 - horizon)
     partitions = [uniform_partition(grid, horizon, h) for h in meshes]

@@ -210,13 +210,14 @@ class TestExitCodes:
             ("converge", {"meshes": [0.5, 0.25, 2.0**-62]}),
             ("diagnostics", {"paths": 2**62}),
             ("converge", {"meshes": [0.5, 0.25, 1e-310]}),
+            ("converge", {"meshes": []}),
         ],
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
              "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
              "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
              "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
-             "mesh_huge", "spde_paths_huge", "mesh_subnormal"],
+             "mesh_huge", "spde_paths_huge", "mesh_subnormal", "meshes_empty"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch):
         cfg = {**_small_configs(tmp_path)[kind], **patch}

@@ -173,11 +173,25 @@ class TestDeterminism:
         b = li.simulate_paths(li.Brownian(), grid100, 300, 78)
         assert not np.array_equal(a.values, b.values)
 
-    def test_path_offset_reproduces_slices(self, grid100):
-        full = li.simulate_paths(li.Brownian(), grid100, 50, 13)
-        lo = li.simulate_paths(li.Brownian(), grid100, 30, 13, path_offset=0)
-        hi = li.simulate_paths(li.Brownian(), grid100, 20, 13, path_offset=30)
+    @pytest.mark.parametrize(
+        "specs, idx", [("martingale_specs", i) for i in range(3)] + [("cadlag_specs", i) for i in range(5)]
+    )
+    def test_path_offset_reproduces_slices(self, request, grid100, specs, idx):
+        spec = request.getfixturevalue(specs)[idx]
+        full = li.simulate_paths(spec, grid100, 50, 13)
+        lo = li.simulate_paths(spec, grid100, 30, 13, path_offset=0)
+        hi = li.simulate_paths(spec, grid100, 20, 13, path_offset=30)
         assert np.array_equal(np.vstack([lo.values, hi.values]), full.values)
+        if full.jumps is not None:
+            for a, b in zip(lo.jumps + hi.jumps, full.jumps, strict=True):
+                assert np.array_equal(a.times, b.times) and np.array_equal(a.sizes, b.sizes)
+
+
+def _update(h, ens):
+    h.update(ens.values.tobytes())
+    for rec in ens.jumps or ():
+        h.update(rec.times.tobytes())
+        h.update(rec.sizes.tobytes())
 
 
 class TestGoldenDigests:
@@ -207,8 +221,27 @@ class TestGoldenDigests:
     )
     def test_simulated_paths(self, spec, expect):
         ens = li.simulate_paths(spec, li.TimeGrid.uniform(1.0, 16), 8, 2024)
-        h = hashlib.sha256(ens.values.tobytes())
-        for rec in ens.jumps or ():
-            h.update(rec.times.tobytes())
-            h.update(rec.sizes.tobytes())
+        h = hashlib.sha256()
+        _update(h, ens)
         assert h.hexdigest() == expect
+
+    def test_offset_chunk_with_left_limits(self):
+        # long exponential loops (rate 40), 32-bit draws whose spare half
+        # must not carry into the next path (two-point sizes), normal sizes;
+        # then left limits without and with jump times on the grid
+        grid = li.TimeGrid.uniform(1.0, 64)
+        specs = [li.CompensatedPoisson(rate=40.0),
+                 li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps()),
+                 li.CompoundPoisson(rate=2.0, jump_law=li.NormalJumps(loc=0.3, scale=0.5))]
+        h = hashlib.sha256()
+        for spec in specs:
+            ens = li.simulate_paths(spec, grid, 1500, 2025, path_offset=777)
+            _update(h, ens)
+            h.update(li.left_limit(ens).values.tobytes())
+        hit_grid = grid.augmented(np.concatenate([rec.times for rec in ens.jumps[:40]]))
+        hit = li.simulate_paths(specs[-1], hit_grid, 1500, 2025, path_offset=777)
+        ll = li.left_limit(hit)
+        assert not np.array_equal(ll.values, hit.values)
+        _update(h, hit)
+        h.update(ll.values.tobytes())
+        assert h.hexdigest() == "cf75a9fd73c520099db32eb68125e660d69214ffbf58fd02bf0d4a93382a3265"

@@ -152,10 +152,21 @@ class TestLeftLimit:
             adapted=True,
             jumps=(rec,),
         )
+        before = e.values.copy()
         ll = li.left_limit(e)
+        assert not np.shares_memory(ll.values, e.values)
+        assert np.array_equal(e.values, before)
         assert ll.values[0, grid.index_of(0.5), 0] == 0.0
         assert ll.values[0, grid.index_of(0.75), 0] == 1.0
         assert ll.values[0, grid.index_of(1.0), 0] == 1.0
+
+    def test_no_on_grid_jump_shares_values(self, grid100):
+        # sampled jump times miss a uniform grid, so nothing is copied
+        e = li.simulate_paths(li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps()),
+                              grid100, 200, 8)
+        ll = li.left_limit(e)
+        assert np.shares_memory(ll.values, e.values)
+        assert ll.grid_predictable and ll.jumps is e.jumps
 
     def test_reconstruction_from_jump_record(self, record_ensemble_factory):
         base = li.TimeGrid.uniform(1.0, 8)

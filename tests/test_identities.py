@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import levyint as li
-from levyint.errors import DomainError, InsufficientDataError, NumericError
+from levyint.errors import DomainError, InsufficientDataError, NumericError, ParameterError
 
 
 class TestStieltjesIntegral:
@@ -118,3 +118,9 @@ class TestBrownianItoIdentity:
     def test_increasing_meshes_rejected(self):
         with pytest.raises(InsufficientDataError):
             li.brownian_ito_identity_check(1.0, [1e-3, 2e-3], 100, 12)
+
+    @pytest.mark.parametrize("meshes", [[1e-310], [0.0], [0.5, np.nan], [np.inf, 0.5]],
+                             ids=["subnormal", "zero", "nan", "inf"])
+    def test_unusable_mesh_rejected(self, meshes):
+        with pytest.raises(ParameterError):
+            li.brownian_ito_identity_check(1.0, meshes, 1, 0)
