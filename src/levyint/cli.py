@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -57,21 +58,26 @@ _INTEGRANDS = {
     "driver_left_limit": predictable_version,
 }
 
-# Config kinds of the driver specs and jump laws.  A kind's keys, defaults
-# and value types are its dataclass fields; "standard_poisson" is the one
-# driver kind that is not a class (see driver_from_config).
+# Config kinds of the driver specs, jump laws and spde coefficients.  A
+# kind's keys, defaults and value types are the parameters of the class or
+# function it names; alpha "none" is no drift.
 _DRIVERS = {"brownian": Brownian, "compensated_poisson": CompensatedPoisson,
-            "compound_poisson": CompoundPoisson}
+            "compound_poisson": CompoundPoisson, "standard_poisson": standard_poisson}
 _JUMP_LAWS = {"two_point": TwoPointJumps, "exponential": ExponentialJumps, "normal": NormalJumps}
+_SIGMAS = {"constant": constant_map, "linear": scaled_identity}
+_ALPHAS = {"none": lambda: None, "linear": scaled_identity}
 _KIND_OF = {cls: kind for table in (_DRIVERS, _JUMP_LAWS) for kind, cls in table.items()}
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _require_keys(section: dict, allowed: set[str], where: str, required=()) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where}.{key} is required")
 
 
 def _number(value, where: str, positive: bool = False) -> float:
@@ -105,29 +111,29 @@ def _flag(value, where: str) -> bool:
 
 _FIELD_READERS = {
     "float": _number,
+    "float | np.ndarray": lambda v, where: (_numbers if isinstance(v, list) else _number)(v, where),
     "bool": _flag,
     "JumpLaw": lambda cfg, where: _spec_from_config(cfg, _JUMP_LAWS, where),
 }
 
 
 def _spec_from_config(cfg: dict, kinds: dict, where: str):
-    """The dataclass a config section names by its 'kind', read field by field."""
+    """What a config section names by its 'kind', built from its other keys,
+    each read by the type its parameter is annotated with."""
     kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{where} needs a 'kind' out of {sorted(kinds)}, got {kind!r}")
-    types = {f.name: f.type for f in fields(kinds[kind])}
-    _require_keys(cfg, {"kind", *types}, where)
+    params = inspect.signature(kinds[kind]).parameters
+    _require_keys(cfg, {"kind", *params}, where,
+                  required=[name for name, p in params.items() if p.default is p.empty])
     return kinds[kind](**{
-        name: _FIELD_READERS[types[name]](value, f"{where}.{name}")
+        name: _FIELD_READERS[params[name].annotation](value, f"{where}.{name}")
         for name, value in cfg.items() if name != "kind"
     })
 
 
 def driver_from_config(cfg: dict) -> LevySpec:
     """Build a driver spec from its config-file form."""
-    if isinstance(cfg, dict) and cfg.get("kind") == "standard_poisson":
-        _require_keys(cfg, {"kind", "rate"}, "driver")
-        return standard_poisson(rate=_number(cfg.get("rate", 1.0), "driver.rate"))
     return _spec_from_config(cfg, _DRIVERS, "driver")
 
 
@@ -160,9 +166,12 @@ def grid_from_config(cfg: dict, values_per_point: int) -> TimeGrid:
     ``values_per_point`` must fit the array limit."""
     _require_keys(cfg, {"horizon", "steps", "points"}, "grid")
     if "points" in cfg:
+        if len(cfg) > 1:
+            raise ConfigError("grid takes 'points' or 'horizon' plus 'steps', not both")
         points = _numbers(cfg["points"], "grid.points")
         _within_limit(values_per_point * points.size, _ARRAY_SHAPE)
         return TimeGrid(points)
+    _require_keys(cfg, {"horizon", "steps"}, "grid", required=("horizon", "steps"))
     steps = _integer(cfg["steps"], "grid.steps")
     _within_limit(values_per_point * (steps + 1), _ARRAY_SHAPE)
     return TimeGrid.uniform(_number(cfg["horizon"], "grid.horizon"), steps)
@@ -172,53 +181,35 @@ def _spde_from_config(cfg: dict) -> tuple[SpdeProblem, float, int]:
     """The evolution problem of an ``spde`` section plus its Picard tol and max_iter."""
     _require_keys(cfg, {"eigenvalues", "heat_dim", "h0", "alpha", "sigmas",
                         "tol", "max_iter"}, "spde")
+    if ("heat_dim" in cfg) == ("eigenvalues" in cfg):
+        raise ConfigError("spde section needs exactly one of 'heat_dim' and 'eigenvalues'")
     if "heat_dim" in cfg:
         heat_dim = _integer(cfg["heat_dim"], "spde.heat_dim")
         op = heat_operator(_within_limit(heat_dim, "spde.heat_dim"))
-    elif "eigenvalues" in cfg:
-        op = SpectralOperator(_numbers(cfg["eigenvalues"], "spde.eigenvalues"))
     else:
-        raise ConfigError("spde section needs 'heat_dim' or 'eigenvalues'")
+        op = SpectralOperator(_numbers(cfg["eigenvalues"], "spde.eigenvalues"))
     dim = op.dim
     h0 = _numbers(cfg["h0"], "spde.h0") if "h0" in cfg else np.zeros(dim)
 
-    alpha_cfg = cfg.get("alpha", {"kind": "none"})
-    _require_keys(alpha_cfg, {"kind", "coefficient"}, "spde.alpha")
-    if alpha_cfg.get("kind", "none") == "none":
-        alpha, alpha_lip = None, 0.0
-    elif alpha_cfg["kind"] == "linear":
-        a = _number(alpha_cfg["coefficient"], "spde.alpha.coefficient")
-        alpha, alpha_lip = scaled_identity(a), abs(a)
-    else:
-        raise ConfigError(f"unknown alpha kind {alpha_cfg.get('kind')!r}")
+    alpha = _spec_from_config(cfg.get("alpha", {"kind": "none"}), _ALPHAS, "spde.alpha")
 
-    sigmas, sigma_lips, drivers = [], [], []
+    sigmas, drivers = [], []
     for i, s_cfg in enumerate(cfg.get("sigmas", [])):
         where = f"spde.sigmas[{i}]"
-        _require_keys(s_cfg, {"kind", "value", "coefficient", "driver"}, where)
-        kind = s_cfg.get("kind")
-        if kind == "constant":
-            value = s_cfg.get("value", 1.0)
-            value = (_numbers(value, f"{where}.value") if isinstance(value, list)
-                     else np.full(dim, _number(value, f"{where}.value")))
-            if value.shape != (dim,):
-                raise ConfigError(f"{where}.value must have {dim} entries")
-            sigmas.append(constant_map(value))
-            sigma_lips.append(0.0)
-        elif kind == "linear":
-            a = _number(s_cfg["coefficient"], f"{where}.coefficient")
-            sigmas.append(scaled_identity(a))
-            sigma_lips.append(abs(a))
-        else:
-            raise ConfigError(f"unknown sigma kind {kind!r}")
+        if not isinstance(s_cfg, dict):
+            raise ConfigError(f"{where} section must be a mapping")
+        sigma = _spec_from_config({k: v for k, v in s_cfg.items() if k != "driver"}, _SIGMAS, where)
+        if isinstance(sigma, constant_map) and sigma.value.shape not in {(), (dim,)}:
+            raise ConfigError(f"{where}.value must be a number or {dim} numbers")
+        sigmas.append(sigma)
         drivers.append(driver_from_config(s_cfg.get("driver", {"kind": "brownian"})))
     problem = SpdeProblem(
         operator=op,
         h0=h0,
         alpha=alpha,
-        alpha_lipschitz=alpha_lip,
+        alpha_lipschitz=0.0 if alpha is None else alpha.lipschitz,
         sigmas=tuple(sigmas),
-        sigma_lipschitz=tuple(sigma_lips),
+        sigma_lipschitz=tuple(s.lipschitz for s in sigmas),
         drivers=tuple(drivers),
     )
     tol = _number(cfg.get("tol", 1e-6), "spde.tol", positive=True)
@@ -488,6 +479,15 @@ def _write_csv(path: Path, columns: tuple[str, ...], rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_safe(node):
+    """``node`` with every non-finite float as None: JSON has no NaN or Infinity."""
+    if isinstance(node, dict):
+        return {key: _json_safe(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_json_safe(value) for value in node]
+    return None if isinstance(node, float) and not math.isfinite(node) else node
+
+
 def emit_report(result: RunResult) -> tuple[Path, Path]:
     """Write the columnar data file and the manifest; return both paths."""
     cfg = result.config
@@ -519,7 +519,8 @@ def emit_report(result: RunResult) -> tuple[Path, Path]:
         "extra": result.extra,
         "passed": result.passed,
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest_path.write_text(
+        json.dumps(_json_safe(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n")
     return data_path, manifest_path
 
 

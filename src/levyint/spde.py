@@ -20,8 +20,8 @@ and spot-checked on random pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .ensembles import (
     TimeGrid,
     _pairing,
     ms_continuity_modulus,
+    sup_l2_norm,
 )
 from .errors import (
     AdaptednessError,
@@ -116,28 +117,33 @@ class SpdeProblem:
     def dim(self) -> int:
         return self.operator.dim
 
-    @property
-    def n_drivers(self) -> int:
-        return len(self.drivers)
+
+@dataclass(frozen=True, eq=False)
+class constant_map:
+    """State-independent coefficient ``value``, a number or one per coordinate."""
+
+    value: float | np.ndarray = 1.0
+    lipschitz = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", np.asarray(self.value, dtype=np.float64))
+
+    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.value, state.shape)
 
 
-def constant_map(values: Sequence[float] | np.ndarray) -> CoefficientMap:
-    """State-independent coefficient; its Lipschitz constant is 0."""
-    arr = np.asarray(values, dtype=np.float64)
-
-    def f(t: float, state: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(arr, state.shape)
-
-    return f
-
-
-def scaled_identity(factor: float) -> CoefficientMap:
+@dataclass(frozen=True)
+class scaled_identity:
     """Coefficient a*state; its Lipschitz constant is |a|."""
 
-    def f(t: float, state: np.ndarray) -> np.ndarray:
-        return factor * state
+    coefficient: float
 
-    return f
+    @property
+    def lipschitz(self) -> float:
+        return abs(self.coefficient)
+
+    def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
+        return self.coefficient * state
 
 
 def spot_check_lipschitz(
@@ -210,23 +216,23 @@ class PicardReport:
     """Successive sup-L2 iterate distances and the convergence verdict."""
 
     distances: tuple[float, ...]
-    iterations: int
-    converged: bool
-    residual: float
     tolerance: float
 
     @property
-    def ratios(self) -> tuple[float, ...]:
-        out = []
-        for a, b in zip(self.distances, self.distances[1:]):
-            out.append(b / a if a > 0 else 0.0)
-        return tuple(out)
+    def iterations(self) -> int:
+        return len(self.distances)
 
     @property
-    def contraction_ratio(self) -> float:
-        """Largest observed ratio after the first distance; 0 if none."""
-        tail = self.ratios[1:] if len(self.ratios) > 1 else self.ratios
-        return max(tail, default=0.0)
+    def residual(self) -> float:
+        return self.distances[-1]
+
+    @property
+    def converged(self) -> bool:
+        return self.residual < self.tolerance
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        return tuple(b / a if a > 0 else 0.0 for a, b in zip(self.distances, self.distances[1:]))
 
 
 def mild_solution_picard(
@@ -385,13 +391,7 @@ def _picard_window(
             break
     if prev is not vals:
         vals[...] = prev
-    return PicardReport(
-        distances=tuple(distances),
-        iterations=len(distances),
-        converged=distances[-1] < tol,
-        residual=distances[-1],
-        tolerance=tol,
-    )
+    return PicardReport(distances=tuple(distances), tolerance=tol)
 
 
 def linear_variance_oracle(
@@ -424,12 +424,11 @@ class DiagnosticsReport:
     modulus: ModulusReport
     adapted: bool
     sup_norm: float
-    mean_square_continuous: bool = field(init=False, default=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def mean_square_continuous(self) -> bool:
         # finite modulus on every interval is the grid-level regularity signal
-        ok = bool(np.all(np.isfinite(self.modulus.norms)))
-        object.__setattr__(self, "mean_square_continuous", ok)
+        return bool(np.all(np.isfinite(self.modulus.norms)))
 
 
 def solution_diagnostics(solution: PathEnsemble) -> DiagnosticsReport:
@@ -440,8 +439,6 @@ def solution_diagnostics(solution: PathEnsemble) -> DiagnosticsReport:
     Refinement comparisons (re-solve at half the spacing) are the caller's
     composition, e.g. the diagnostics experiment of the CLI.
     """
-    from .ensembles import sup_l2_norm
-
     return DiagnosticsReport(
         modulus=ms_continuity_modulus(solution),
         adapted=solution.adapted,

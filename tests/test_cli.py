@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -88,6 +89,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"experiment": "simulate", "tolerances": {"bogus": 1.0}})
 
+    def test_spde_lipschitz_constants_come_from_the_coefficients(self):
+        cfg = parse_config({"experiment": "spde", "spde": {
+            "heat_dim": 2, "alpha": {"kind": "linear", "coefficient": -0.5},
+            "sigmas": [{"kind": "linear", "coefficient": 0.0}, {"kind": "constant", "value": 2.0}]}})
+        assert cfg.problem.alpha_lipschitz == 0.5
+        assert cfg.problem.sigma_lipschitz == (0.0, 0.0)
+
     def test_hash_stability(self):
         a = parse_config({"experiment": "simulate", "seed": 1})
         b = parse_config({"seed": 1, "experiment": "simulate"})
@@ -129,6 +137,67 @@ class TestExperimentCoverage:
         assert side[0] == "iteration,distance"
         assert len(side) == 1 + manifest["extra"]["picard"]["iterations"]
 
+    @pytest.mark.parametrize(
+        "kind, patch",
+        [("simulate", {"paths": 2}),  # no standard error: se is infinite
+         ("converge", {"driver": {"kind": "brownian", "volatility": 0.0}})],  # no rate: NaN
+        ids=["simulate_two_paths", "converge_zero_volatility"],
+    )
+    def test_manifest_is_strict_json(self, tmp_path, kind, patch):
+        cfg = {**_small_configs(tmp_path)[kind], **patch}
+        main([kind, "--config", _write(tmp_path, "cfg.json", cfg)])
+        stem = f"{kind}-{parse_config({**cfg, 'experiment': kind}).config_hash}"
+
+        def reject(constant):
+            raise AssertionError(f"manifest holds {constant}, which is not JSON")
+
+        text = (tmp_path / f"{stem}.manifest.json").read_text()
+        assert "null" in text
+        json.loads(text, parse_constant=reject)
+
+
+def _artifact_digest(out_dir):
+    """sha256 over every artifact's name and bytes, each manifest without its
+    ``versions`` entry (the only host-dependent part)."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        body = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(body)
+            del manifest["versions"]
+            body = json.dumps(manifest, sort_keys=True, indent=2).encode()
+        h.update(path.name.encode() + b"\0" + body)
+    return h.hexdigest()
+
+
+class TestArtifactGoldens:
+    """Digests of whole CLI runs, recorded before the spde config reader was
+    rebuilt on the kind tables.  Float bits of ``np.exp`` may differ on other
+    hardware: a mismatch there means re-record, not a bug."""
+
+    _GOLDEN = {
+        "spde": "05b3a538bbc4c605c5378f0a1b97a058fad19b224f6b4d4a66f535c79b352b59",
+        "diagnostics": "bdd77df0a406bf1e07bd74d4357dd826da1194c65d09185eedf5df5be465977e",
+        "spde_eigenvalues": "b718f58cd294ac1273db32a1a141dbf0861f5d69abc3b2c8c392bee6adc65835",
+    }
+
+    @pytest.mark.parametrize("name", list(_GOLDEN))
+    def test_artifacts_match_golden(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        configs = _small_configs("out")
+        configs["spde_eigenvalues"] = {
+            **configs["spde"],
+            "spde": {"eigenvalues": [0.0, 1.0, 4.0], "h0": [1.0, 0.5, 0.0],
+                     "alpha": {"kind": "linear", "coefficient": 0.5},
+                     "sigmas": [{"kind": "constant", "value": [1.0, 0.5, 0.25],
+                                 "driver": {"kind": "compensated_poisson", "rate": 2.0}},
+                                {"kind": "linear", "coefficient": 0.2}],
+                     "tol": 1e-8, "max_iter": 40},
+        }
+        kind = name.split("_")[0]
+        assert main([kind, "--config", _write(tmp_path, "cfg.json", configs[name])]) == 0
+        assert _artifact_digest(tmp_path / "out") == self._GOLDEN[name]
+
 
 class TestExitCodes:
     def test_negative_rate_is_config_error(self, tmp_path):
@@ -152,81 +221,104 @@ class TestExitCodes:
         path = _write(tmp_path, "tight.json", cfg)
         assert main(["isometry", "--config", path]) == 1
 
+    # each malformed input with the key path its one-line message must name
     @pytest.mark.parametrize(
-        "patch",
+        "patch, named",
         [
-            {"alpha": {"kind": "linear"}},
-            {"sigmas": [{"kind": "linear", "driver": {"kind": "brownian"}}]},
-            {"tol": "x"},
-            {"heat_dim": "x"},
-            {"heat_dim": float("inf")},
-            {"alpha": 3},
-            {"sigmas": [{"kind": "constant", "value": [1.0, 2.0],
-                         "driver": {"kind": "brownian"}}]},
-            {"tol": float("nan")},
-            {"max_iter": 0},
-            {"heat_dim": 3.5},
-            {"max_iter": True},
-            {"drivers": [{"kind": "brownian"}]},
-            {"heat_dim": 2**62},
+            ({"alpha": {"kind": "linear"}}, "spde.alpha.coefficient is required"),
+            ({"sigmas": [{"kind": "linear", "driver": {"kind": "brownian"}}]},
+             "spde.sigmas[0].coefficient is required"),
+            ({"tol": "x"}, "spde.tol"),
+            ({"heat_dim": "x"}, "spde.heat_dim"),
+            ({"heat_dim": float("inf")}, "spde.heat_dim"),
+            ({"alpha": 3}, "spde.alpha"),
+            ({"sigmas": [{"kind": "constant", "value": [1.0, 2.0],
+                          "driver": {"kind": "brownian"}}]}, "spde.sigmas[0].value"),
+            ({"tol": float("nan")}, "spde.tol"),
+            ({"max_iter": 0}, "spde.max_iter"),
+            ({"heat_dim": 3.5}, "spde.heat_dim"),
+            ({"max_iter": True}, "spde.max_iter"),
+            ({"drivers": [{"kind": "brownian"}]}, "spde: ['drivers']"),
+            ({"heat_dim": 2**62}, "spde.heat_dim"),
+            # each of these ran a different problem from the one written
+            ({"alpha": {"coefficient": 3.0}}, "spde.alpha"),
+            ({"alpha": {"kind": "none", "coefficient": 3.0}}, "spde.alpha: ['coefficient']"),
+            ({"sigmas": [{"kind": "constant", "coefficient": 5.0}]},
+             "spde.sigmas[0]: ['coefficient']"),
+            ({"sigmas": [{"kind": "linear", "coefficient": 0.5, "value": [9, 9]}]},
+             "spde.sigmas[0]: ['value']"),
+            ({"eigenvalues": [1.0, 4.0, 9.0]}, "'heat_dim' and 'eigenvalues'"),
+            ({"alpha": {}}, "spde.alpha"),
         ],
         ids=["alpha_no_coefficient", "sigma_no_coefficient", "tol_text", "heat_dim_text",
              "heat_dim_inf", "alpha_number", "sigma_value_length", "tol_nan", "max_iter0",
-             "heat_dim_fraction", "max_iter_bool", "drivers_key", "heat_dim_huge"],
+             "heat_dim_fraction", "max_iter_bool", "drivers_key", "heat_dim_huge",
+             "alpha_no_kind", "alpha_none_coefficient", "constant_sigma_coefficient",
+             "linear_sigma_value", "heat_dim_and_eigenvalues", "alpha_empty"],
     )
-    def test_malformed_spde_section_is_config_error(self, tmp_path, capsys, patch):
+    def test_malformed_spde_section_is_config_error(self, tmp_path, capsys, patch, named):
         cfg = _small_configs(tmp_path)["spde"]
         cfg = {**cfg, "spde": {**cfg["spde"], **patch}}
         path = _write(tmp_path, "bad_spde.json", cfg)
         assert main(["spde", "--config", path]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert named in err[0]
 
     @pytest.mark.parametrize(
-        "kind, patch",
+        "kind, patch, named",
         [
-            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "exponential"}}}),
-            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": "two_point"}}),
-            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "normal"}}}),
-            ("simulate", {"driver": {"kind": "compound_poisson", "compensated": "false"}}),
-            ("converge", {"meshes": [0.5, "x", 0.1]}),
-            ("converge", {"meshes": 0.5}),
-            ("simulate", {"out": 5}),
-            ("simulate", {"driver": {"kind": "compensated_poisson", "rate": NAN}}),
-            ("simulate", {"driver": {"kind": "brownian", "drift": NAN}}),
-            ("simulate", {"driver": {"kind": "brownian", "volatility": INF}}),
-            ("poisson-identity", {"rate": NAN}),
-            ("isometry", {"tolerances": {"exact": "x"}}),
-            ("isometry", {"tolerances": {"z_max": -1}}),
-            ("isometry", {"tolerances": {"z_max": NAN}}),
-            ("isometry", {"tolerances": {"se_multiplier": 0}}),
-            ("simulate", {"paths": True}),
-            ("simulate", {"seed": True}),
-            ("simulate", {"paths": 10.5}),
-            ("simulate", {"grid": {"horizon": 1.0, "steps": 2.7}}),
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "exponential"}}},
+             "driver.jump_law.rate is required"),
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": "two_point"}},
+             "driver.jump_law"),
+            ("simulate", {"driver": {"kind": "compound_poisson", "jump_law": {"kind": "normal"}}},
+             "driver.jump_law.scale is required"),
+            ("simulate", {"driver": {"kind": "compound_poisson", "compensated": "false"}},
+             "driver.compensated"),
+            ("converge", {"meshes": [0.5, "x", 0.1]}, "meshes"),
+            ("converge", {"meshes": 0.5}, "meshes"),
+            ("simulate", {"out": 5}, "out"),
+            ("simulate", {"driver": {"kind": "compensated_poisson", "rate": NAN}}, "driver.rate"),
+            ("simulate", {"driver": {"kind": "brownian", "drift": NAN}}, "driver.drift"),
+            ("simulate", {"driver": {"kind": "brownian", "volatility": INF}}, "driver.volatility"),
+            ("poisson-identity", {"rate": NAN}, "rate"),
+            ("isometry", {"tolerances": {"exact": "x"}}, "exact"),
+            ("isometry", {"tolerances": {"z_max": -1}}, "z_max"),
+            ("isometry", {"tolerances": {"z_max": NAN}}, "z_max"),
+            ("isometry", {"tolerances": {"se_multiplier": 0}}, "se_multiplier"),
+            ("simulate", {"paths": True}, "paths"),
+            ("simulate", {"seed": True}, "seed"),
+            ("simulate", {"paths": 10.5}, "paths"),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 2.7}}, "grid.steps"),
             # counts past the array limit; numpy could not allocate these either
-            ("simulate", {"paths": 2**70}),
-            ("integrate", {"paths": 2**70, "grid": {"points": [0.0, 0.5, 1.0]}}),
-            ("simulate", {"grid": {"horizon": 1.0, "steps": 2**62}}),
-            ("converge", {"meshes": [0.5, 0.25, 2.0**-62]}),
-            ("diagnostics", {"paths": 2**62}),
-            ("converge", {"meshes": [0.5, 0.25, 1e-310]}),
-            ("converge", {"meshes": []}),
+            ("simulate", {"paths": 2**70}, "paths"),
+            ("integrate", {"paths": 2**70, "grid": {"points": [0.0, 0.5, 1.0]}}, "paths"),
+            ("simulate", {"grid": {"horizon": 1.0, "steps": 2**62}}, "grid points"),
+            ("converge", {"meshes": [0.5, 0.25, 2.0**-62]}, "meshes"),
+            ("diagnostics", {"paths": 2**62}, "paths"),
+            ("converge", {"meshes": [0.5, 0.25, 1e-310]}, "meshes"),
+            ("converge", {"meshes": []}, "meshes"),
+            # a grid takes one form; these ran on the points and dropped the rest
+            ("simulate", {"grid": {"points": [0.0, 0.5, 1.0], "steps": 4}}, "grid takes"),
+            ("simulate", {"grid": {"points": [0.0, 0.5, 1.0], "horizon": 5.0}}, "grid takes"),
+            ("simulate", {"grid": {"horizon": 1.0}}, "grid.steps is required"),
         ],
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
              "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
              "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
              "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
-             "mesh_huge", "spde_paths_huge", "mesh_subnormal", "meshes_empty"],
+             "mesh_huge", "spde_paths_huge", "mesh_subnormal", "meshes_empty",
+             "grid_points_and_steps", "grid_points_and_horizon", "grid_no_steps"],
     )
-    def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch):
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch, named):
         cfg = {**_small_configs(tmp_path)[kind], **patch}
         path = _write(tmp_path, "bad_cfg.json", cfg)
         assert main([kind, "--config", path]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        if "meshes" in patch:
-            assert "meshes" in err[0]
+        assert named in err[0]
 
     def test_unwritable_target_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -201,6 +201,23 @@ class TestLipschitzSpotCheck:
         )
         li.spot_check_lipschitz(prob, 1.0)
 
+    def test_coefficient_maps_carry_their_constants(self):
+        alpha, sigma = li.scaled_identity(-3.0), li.constant_map(2.0)
+        assert (alpha.lipschitz, sigma.lipschitz) == (3.0, 0.0)
+        state = np.arange(4.0).reshape(2, 2)
+        assert np.array_equal(alpha(0.0, state), -3.0 * state)
+        assert np.array_equal(sigma(0.0, state), np.full((2, 2), 2.0))
+        prob = li.SpdeProblem(
+            operator=li.heat_operator(2),
+            h0=np.zeros(2),
+            alpha=alpha,
+            alpha_lipschitz=alpha.lipschitz,
+            sigmas=(sigma,),
+            sigma_lipschitz=(sigma.lipschitz,),
+            drivers=(li.Brownian(),),
+        )
+        li.spot_check_lipschitz(prob, 1.0)
+
 
 class TestPicard:
     def test_noiseless_flow(self):
