@@ -266,6 +266,14 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(np.mean(samples)), se
 
 
+def _z_score(diff, se):
+    """diff / se; where se is 0, a z of 0 needs a diff of exactly 0 and any
+    other diff is +-inf, so a check without evidence of agreement fails."""
+    diff, se = np.asarray(diff, dtype=float), np.asarray(se, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((se == 0) & (diff == 0), 0.0, diff / se)
+
+
 def _streamed_mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple:
     """Mean and its standard error from running sums of x and x^2 over n samples."""
     mean = total / n
@@ -322,9 +330,6 @@ class ModulusReport:
     @property
     def max_standard_error(self) -> float:
         return float(self.standard_errors[int(np.argmax(self.norms))])
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.gaps.tolist(), self.norms.tolist()))
 
 
 def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
@@ -403,11 +408,3 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
         values = values.copy()
         values[rows[hit], idx[hit], :] -= sizes[hit, None]
     return ensemble.with_values(values, grid_predictable=True)
-
-
-def ensemble_rows(ensemble: PathEnsemble) -> Iterator[tuple]:
-    """Rows (path id, t, value components) for columnar export."""
-    t = ensemble.grid.points
-    for p in range(ensemble.n_paths):
-        for j in range(ensemble.n_points):
-            yield (p, float(t[j]), *ensemble.values[p, j, :].tolist())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec
-from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, left_limit,
+from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _z_score, left_limit,
                         second_moments, sup_l2_norm)
 from .errors import AdaptednessError, DomainError
 from .riemann import riemann_sum
@@ -134,9 +134,9 @@ def ito_isometry_check(
     mean_diff, se_diff = _mean_se(
         lhs_samples - (rhs_samples if rhs_samples.size == lhs_samples.size else rhs)
     )
-    z = mean_diff / se_diff if se_diff > 0 else 0.0
     return IsometryReport(
-        lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs, z_score=z, n_paths=n
+        lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs,
+        z_score=float(_z_score(mean_diff, se_diff)), n_paths=n
     )
 
 

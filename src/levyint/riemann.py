@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, martingale_part
-from .ensembles import PathEnsemble, TimeGrid, _blocks, _mean_se, _pairing, _streamed_mean_se
+from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _pairing, _streamed_mean_se,
+                        _z_score)
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -61,15 +62,6 @@ class MeshStudy:
             raise ConsistencyError("meshes must be strictly decreasing")
         if np.any(self.sq_differences < 0):
             raise ConsistencyError("squared differences must be nonnegative")
-
-    def rows(self) -> list[tuple[float, float, float]]:
-        return list(
-            zip(
-                self.meshes.tolist(),
-                self.sq_differences.tolist(),
-                self.standard_errors.tolist(),
-            )
-        )
 
 
 def _require_adapted(phi: PathEnsemble) -> None:
@@ -272,4 +264,4 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
     # SE of the covariance estimated from the spread of the products
     mean_pd, se = _streamed_mean_se(s_pd, s_pd2, n)
     cov = mean_pd - (s_p / n) * (s_d / n)
-    return np.where(se > 0, cov / np.maximum(se, 1e-300), 0.0)
+    return _z_score(cov, se)

@@ -59,7 +59,7 @@ def test_criterion_02_isometry_matrix():
         for name, phi in integrands.items():
             z = li.ito_isometry_check(phi, spec, x).z_score
             worst = max(worst, abs(z))
-        del x, integrands
+        del x, integrands, phi
     elapsed = time.perf_counter() - start
     ok = worst < Z_MAX and elapsed < 120.0
     _report(2, "isometry 3x3 matrix", ok, f"max |z| {worst:.2f}, {elapsed:.0f}s")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyint as li
+from levyint import cli
 from levyint.cli import (
     EXPERIMENTS,
     driver_from_config,
@@ -171,11 +173,17 @@ def _artifact_digest(out_dir):
 
 
 class TestArtifactGoldens:
-    """Digests of whole CLI runs, recorded before the spde config reader was
-    rebuilt on the kind tables.  Float bits of ``np.exp`` may differ on other
-    hardware: a mismatch there means re-record, not a bug."""
+    """Digests of whole CLI runs: the spde ones recorded before the spde
+    config reader was rebuilt on the kind tables, the other five before the
+    CSV writer wrote column blocks.  Float bits of ``np.exp`` may differ on
+    other hardware: a mismatch there means re-record, not a bug."""
 
     _GOLDEN = {
+        "simulate": "8b567c2e8895987f3f661e81c1020141bf57542510af1fb2a8d8789d110bc082",
+        "integrate": "4c6ae4a8cfda4bb41f9efbc2a3f2e4cd0620ed8edc7f718024f8678735020256",
+        "isometry": "ee9517a27313634dbab9fae0d94dbc8a860e17ad8cda66a8c9517cf1e2623f66",
+        "poisson-identity": "e86a3fe4bd02caa5c4b754f95c11698e03604f4804f1d1e07c41d974da03a865",
+        "converge": "84d5c2355cfa592cec94e3c49d3f656f90545fc677000bee3a1f1ffd2cbc0bfc",
         "spde": "05b3a538bbc4c605c5378f0a1b97a058fad19b224f6b4d4a66f535c79b352b59",
         "diagnostics": "bdd77df0a406bf1e07bd74d4357dd826da1194c65d09185eedf5df5be465977e",
         "spde_eigenvalues": "b718f58cd294ac1273db32a1a141dbf0861f5d69abc3b2c8c392bee6adc65835",
@@ -197,6 +205,61 @@ class TestArtifactGoldens:
         kind = name.split("_")[0]
         assert main([kind, "--config", _write(tmp_path, "cfg.json", configs[name])]) == 0
         assert _artifact_digest(tmp_path / "out") == self._GOLDEN[name]
+
+
+def _row_rule_csv(columns, rows):
+    """The row-wise rule the block writer replaced, kept as its reference."""
+    lines = [",".join(columns)]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    _BLOCK = cli._CSV_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_matches_the_row_rule(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        specials = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0, -2.5e-308, 1e300, INF, -INF, NAN]
+        floats = np.concatenate([specials, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)])[:n]
+        ints = np.resize(np.array([0, -1, 2**53 + 1, 2**63 - 1, -2**63]), n)
+        labels = np.resize(np.array(["coarse", "fine", "x"]), n)
+        columns = ("count", "value", "label", "again")
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, *cli._table(columns, ints, floats, labels, floats))
+        rows = zip(ints.tolist(), floats.tolist(), labels.tolist(), floats.tolist())
+        assert path.read_text() == _row_rule_csv(columns, rows)
+
+    def test_emission_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # a writer that joins every line at once holds about 11 times the solution
+        cfg = parse_config({**_small_configs(tmp_path)["spde"], "experiment": "spde",
+                            "paths": 2000, "grid": {"horizon": 1.0, "steps": 64}})
+        result = cli._RUNNERS["spde"](cfg)
+        solution_bytes = len(result.rows) * cfg.problem.dim * 8
+        tracemalloc.start()
+        try:
+            cli.emit_report(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < solution_bytes / 2
+
+
+class TestNoPassWithoutEvidence:
+    """A check whose evidence cannot be formed fails, and so does a run with no check."""
+
+    @pytest.mark.parametrize(
+        "kind, cfg",
+        [("isometry", {"paths": 1, "seed": 3, "integrand": "driver"}),  # SE 0, lhs 6.9e-7, rhs 0.398
+         ("simulate", {"paths": 2, "driver": {"kind": "brownian", "volatility": 5.0}}),  # no SE
+         ("integrate", {"paths": 2, "integrand": "time"})],  # no check applies
+        ids=["isometry_one_path", "simulate_two_paths", "integrate_no_check"],
+    )
+    def test_run_fails(self, tmp_path, kind, cfg):
+        cfg = {**cfg, "out": str(tmp_path)}
+        assert main([kind, "--config", _write(tmp_path, "cfg.json", cfg)]) == 1
+        stem = f"{kind}-{parse_config({**cfg, 'experiment': kind}).config_hash}"
+        assert json.loads((tmp_path / f"{stem}.manifest.json").read_text())["passed"] is False
 
 
 class TestExitCodes:

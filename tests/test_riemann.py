@@ -115,6 +115,15 @@ class TestIntegralProcess:
         assert np.max(np.abs(li.increment_independence_z(w, curve))) < 1e-9
 
 
+    def test_zero_se_with_nonzero_covariance_is_infinite(self):
+        # phi * dM is 2 on both paths, so its SE is 0, yet phi and dM covary
+        grid = li.TimeGrid.uniform(1.0, 1)
+        phi = li.PathEnsemble(values=[[1.0, 0.0], [2.0, 0.0]], grid=grid, adapted=True)
+        m = li.PathEnsemble(values=[[0.0, 2.0], [0.0, 1.0]], grid=grid, adapted=True)
+        assert li.increment_independence_z(phi, m).tolist() == [-np.inf]
+        assert li.increment_independence_z(phi, phi.with_values(np.zeros((2, 2, 1)))).tolist() == [0.0]
+
+
 class TestBochnerIntegral:
     def test_constant(self, grid100):
         phi = li.PathEnsemble.deterministic(grid100, 3.0)
