@@ -18,7 +18,6 @@ from .drivers import (
     LevySpec,
     NormalJumps,
     TwoPointJumps,
-    bracket_rate,
     child_seed,
     martingale_part,
     simulate_paths,
@@ -26,11 +25,9 @@ from .drivers import (
 )
 from .ensembles import (
     JumpRecord,
-    L2CurveStats,
     ModulusReport,
     PathEnsemble,
     TimeGrid,
-    curve_stats,
     l2_distance,
     left_limit,
     ms_continuity_modulus,

@@ -4,9 +4,11 @@ One experiment per process invocation.  A declarative JSON config names the
 experiment kind and its inputs; every section is parsed once, before any
 computation, so malformed input is a config error.  The runner executes with
 fixed seeds, writes a columnar numeric file plus a manifest (config hash,
-tolerances actually applied, versions, check verdicts), and exits 0 on pass,
-1 on check failure, 2 on config errors, and 3 on numeric failure.  Identical
-configs produce byte-identical artifacts.
+tolerances applied, versions, check verdicts), and exits 0 on pass, 1 on
+check failure, 2 on config errors, and 3 on numeric failure.  Identical
+configs produce byte-identical artifacts.  A config may override only the
+tolerances its experiment's checks read, and the manifest records exactly
+those, so no override is silently ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .spde import (
     scaled_identity,
     solution_diagnostics,
 )
-from .tolerances import resolve
+from .tolerances import DEFAULTS
 
 _INTEGRANDS = {
     "ones": lambda x: PathEnsemble.deterministic(x.grid, 1.0),
@@ -245,7 +247,7 @@ _BROWNIAN = {"kind": "brownian"}
 # Config keys every experiment reads, and the sections of each experiment,
 # with the value a missing key takes (converge derives a missing grid from
 # its finest mesh).
-_COMMON_DEFAULTS = {"seed": 0, "paths": 1000, "out": ".", "tolerances": None}
+_COMMON_DEFAULTS = {"seed": 0, "paths": 1000, "out": ".", "tolerances": {}}
 _DEFAULTS = {
     "simulate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN},
     "integrate": {"grid": {"horizon": 1.0, "steps": 100}, "driver": _BROWNIAN, "integrand": "ones"},
@@ -255,6 +257,17 @@ _DEFAULTS = {
                  "meshes": [2**-4, 2**-5, 2**-6, 2**-7]},
     "spde": {"grid": {"horizon": 1.0, "steps": 64}, "spde": {}},
     "diagnostics": {"grid": {"horizon": 1.0, "steps": 64}, "spde": {}},
+}
+# The tolerances each experiment's checks read: the only names its config
+# may override, and the ones its manifest records.
+_TOLERANCES = {
+    "simulate": ("se_multiplier",),
+    "integrate": ("exact", "se_multiplier"),
+    "isometry": ("z_max",),
+    "poisson-identity": ("exact",),
+    "converge": (),
+    "spde": (),
+    "diagnostics": ("se_multiplier",),
 }
 EXPERIMENTS = tuple(_DEFAULTS)
 _EXPERIMENT_KEYS = {
@@ -316,6 +329,10 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
             raise ConfigError(f"meshes: the finest mesh {finest!r} needs more grid points "
                               f"than the {_MAX_ARRAY_BYTES}-byte array limit holds")
         grid_cfg = {"horizon": 1.0, "steps": round(1.0 / finest)}
+    _require_keys(cfg["tolerances"], set(_TOLERANCES[kind]), "tolerances")
+    tolerances = {name: DEFAULTS[name] for name in _TOLERANCES[kind]}
+    tolerances.update({name: _number(value, f"tolerances.{name}", positive=True)
+                       for name, value in cfg["tolerances"].items()})
     # diagnostics also solves on a grid of twice the steps
     per_point = paths * (parsed["problem"].dim if "problem" in parsed else 1)
     grid = grid_from_config(grid_cfg, per_point * (2 if kind == "diagnostics" else 1))
@@ -325,7 +342,7 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
         seed=_integer(cfg["seed"], "seed", minimum=0),
         paths=paths,
         out_dir=Path(cfg["out"]),
-        tolerances=resolve(cfg["tolerances"]),
+        tolerances=tolerances,
         grid=grid,
         **parsed,
     )

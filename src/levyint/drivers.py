@@ -25,7 +25,6 @@ import numpy as np
 
 from .ensembles import JumpRecord, PathEnsemble, TimeGrid
 from .errors import ConsistencyError, NumericError, ParameterError
-from .tolerances import DEFAULTS
 
 
 def _check_finite(params) -> None:
@@ -200,11 +199,6 @@ def standard_poisson(rate: float = 1.0) -> CompensatedPoisson:
     return CompensatedPoisson(rate=rate, drift=rate)
 
 
-def bracket_rate(spec: LevySpec) -> float:
-    """Bracket rate c of the driver's martingale part: <M,M>_t = c*t."""
-    return spec.bracket_rate()
-
-
 def child_seed(seed: int, index: int) -> int:
     """Derived integer seed for an indexed substream (e.g. one per driver)."""
     if seed < 0 or index < 0:
@@ -360,18 +354,14 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
     return worst
 
 
-def min_jump_separation(ensemble: PathEnsemble) -> float:
-    """Smallest gap between consecutive jump times across all paths."""
-    if ensemble.jumps is None:
-        raise ConsistencyError("ensemble carries no jump records")
-    best = np.inf
-    for rec in ensemble.jumps:
-        if rec.count > 1:
-            best = min(best, float(np.min(np.diff(rec.times))))
-    return best
+# Sampled jump times closer than this count as coincident.  The floor guards
+# sampling, not a verdict, so no run overrides it.
+_JUMP_SEPARATION = 1e-15
 
 
 def reject_coincident_jumps(ensemble: PathEnsemble) -> None:
-    """Raise if two sampled jump times are closer than the separation floor."""
-    if min_jump_separation(ensemble) < DEFAULTS["jump_separation"]:
+    """Raise if two consecutive jump times of a path are closer than the separation floor."""
+    if ensemble.jumps is None:
+        raise ConsistencyError("ensemble carries no jump records")
+    if any(rec.count > 1 and np.min(np.diff(rec.times)) < _JUMP_SEPARATION for rec in ensemble.jumps):
         raise NumericError("coincident jump times sampled; rerun with a different seed")

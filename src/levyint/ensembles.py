@@ -355,28 +355,6 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     return ModulusReport(gaps=ensemble.grid.dt, norms=norms, standard_errors=se_norm)
 
 
-@dataclass(frozen=True)
-class L2CurveStats:
-    """Summary statistics of an ensemble viewed as an empirical L2-curve."""
-
-    second_moments: np.ndarray
-    sup_norm: float
-    modulus: ModulusReport
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.second_moments)) or np.any(self.second_moments < 0):
-            raise ConsistencyError("second moments must be finite and nonnegative")
-
-
-def curve_stats(ensemble: PathEnsemble) -> L2CurveStats:
-    m2 = second_moments(ensemble)
-    return L2CurveStats(
-        second_moments=m2,
-        sup_norm=float(np.sqrt(np.max(m2))),
-        modulus=ms_continuity_modulus(ensemble),
-    )
-
-
 def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
     """Pre-jump representative of a cadlag ensemble.
 

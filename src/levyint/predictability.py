@@ -19,6 +19,7 @@ from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _z_score,
                         second_moments, sup_l2_norm)
 from .errors import AdaptednessError, DomainError
 from .riemann import riemann_sum
+from .tolerances import DEFAULTS
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,10 @@ def embedding_norm_check(phi: PathEnsemble) -> EmbeddingReport:
     pphi = predictable_version(phi)
     lhs = _left_quadrature(second_moments(pphi), phi.grid.dt)
     rhs = phi.grid.horizon * float(np.max(second_moments(phi)))
-    return EmbeddingReport(time_integral=lhs, bound=rhs, holds=lhs <= rhs + 1e-9)
+    return EmbeddingReport(time_integral=lhs, bound=rhs, holds=lhs <= rhs + DEFAULTS["quadrature"])
 
 
-def injectivity_witness(phi: PathEnsemble, tol: float = 1e-9) -> InjectivityReport:
+def injectivity_witness(phi: PathEnsemble, tol: float = DEFAULTS["quadrature"]) -> InjectivityReport:
     """Report that seminorm ~ 0 implies sup norm ~ 0 (or that both exceed 0).
 
     On a grid the left quadrature dominates each interior term, so a

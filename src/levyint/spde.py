@@ -32,7 +32,6 @@ from .ensembles import (
     TimeGrid,
     _pairing,
     ms_continuity_modulus,
-    sup_l2_norm,
 )
 from .errors import (
     AdaptednessError,
@@ -423,12 +422,6 @@ class DiagnosticsReport:
 
     modulus: ModulusReport
     adapted: bool
-    sup_norm: float
-
-    @property
-    def mean_square_continuous(self) -> bool:
-        # finite modulus on every interval is the grid-level regularity signal
-        return bool(np.all(np.isfinite(self.modulus.norms)))
 
 
 def solution_diagnostics(solution: PathEnsemble) -> DiagnosticsReport:
@@ -442,5 +435,4 @@ def solution_diagnostics(solution: PathEnsemble) -> DiagnosticsReport:
     return DiagnosticsReport(
         modulus=ms_continuity_modulus(solution),
         adapted=solution.adapted,
-        sup_norm=sup_l2_norm(solution),
     )

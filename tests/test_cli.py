@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from levyint.cli import (
     parse_config,
 )
 from levyint.errors import ConfigError, NumericError, ToolkitError
+from levyint.tolerances import DEFAULTS
 
 NAN, INF = float("nan"), float("inf")
 
@@ -52,6 +56,18 @@ def _small_configs(out_dir):
                                              "driver": {"kind": "brownian"}}],
                                  "tol": 1e-8, "max_iter": 10}},
     }
+
+
+# the tolerances each experiment's checks read, at their default values
+_APPLIED = {
+    "simulate": {"se_multiplier": 3.0},
+    "integrate": {"exact": 1e-12, "se_multiplier": 3.0},
+    "isometry": {"z_max": 4.0},
+    "poisson-identity": {"exact": 1e-12},
+    "converge": {},
+    "spde": {},
+    "diagnostics": {"se_multiplier": 3.0},
+}
 
 
 class TestDriverSerialization:
@@ -104,6 +120,71 @@ class TestConfigParsing:
         assert a.config_hash == b.config_hash
 
 
+class _ReadRecorder(dict):
+    """A tolerance table that records every name looked up in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+class TestTolerances:
+    """A run accepts and records exactly the tolerances its checks read."""
+
+    @pytest.mark.parametrize(
+        "kind, patch, rejected",
+        [("simulate", {"tolerances": {"z_max": 1e-9, "quadrature": 5.0, "discretization_rel": 0.9,
+                                      "parallel_reduction": 3.0, "jump_separation": 0.5}}, "z_max"),
+         ("poisson-identity", {"rate": 5, "tolerances": {"jump_separation": 0.5}}, "jump_separation")],
+        ids=["simulate_five_unread", "identity_jump_separation"],
+    )
+    def test_a_name_the_experiment_does_not_read_is_config_error(self, tmp_path, capsys, kind,
+                                                                  patch, rejected):
+        path = _write(tmp_path, "cfg.json", {**patch, "out": str(tmp_path)})
+        assert main([kind, "--config", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "tolerances" in err[0] and rejected in err[0]
+        assert not list(tmp_path.glob("*.manifest.json"))
+
+    @pytest.mark.parametrize("kind", ["converge", "spde"])
+    @pytest.mark.parametrize("name", sorted(DEFAULTS))
+    def test_no_tolerance_is_accepted_where_none_is_read(self, tmp_path, capsys, kind, name):
+        cfg = {**_small_configs(tmp_path)[kind], "tolerances": {name: DEFAULTS[name]}}
+        assert main([kind, "--config", _write(tmp_path, "cfg.json", cfg)]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["converge", "spde"])
+    def test_an_empty_table_is_accepted_where_none_is_read(self, tmp_path, kind):
+        cfg = {**_small_configs(tmp_path)[kind], "tolerances": {}}
+        assert main([kind, "--config", _write(tmp_path, "cfg.json", cfg)]) == 0
+
+    @pytest.mark.parametrize("kind", EXPERIMENTS)
+    def test_names_read_accepted_and_recorded_agree(self, tmp_path, kind):
+        configs = [_small_configs(tmp_path)[kind]]
+        if kind == "integrate":  # a driftless driver and three paths or more: both checks apply
+            configs.append({**configs[0], "driver": {"kind": "brownian"}})
+        read = set()
+        for raw in configs:
+            cfg = parse_config({**raw, "experiment": kind})
+            table = _ReadRecorder(cfg.tolerances)
+            _, manifest_path = cli.emit_report(cli._RUNNERS[kind](replace(cfg, tolerances=table)))
+            read |= table.read
+            assert set(json.loads(manifest_path.read_text())["tolerances"]) == set(cli._TOLERANCES[kind])
+        assert read == set(cli._TOLERANCES[kind])
+
+    def test_every_default_is_read_outside_the_table(self):
+        read = {name for names in cli._TOLERANCES.values() for name in names}
+        for module in Path(cli.__file__).parent.glob("*.py"):
+            if module.name != "tolerances.py":
+                read |= set(re.findall(r'DEFAULTS\["(\w+)"\]', module.read_text()))
+        assert read == set(DEFAULTS)
+
+
 class TestExperimentCoverage:
     @pytest.mark.parametrize("kind", EXPERIMENTS)
     def test_every_kind_runs_and_passes(self, kind, tmp_path):
@@ -115,7 +196,7 @@ class TestExperimentCoverage:
         assert (tmp_path / f"{stem}.csv").exists()
         manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
         assert manifest["passed"] is True
-        assert manifest["tolerances"]["exact"] == 1e-12
+        assert manifest["tolerances"] == _APPLIED[kind]
 
     def test_converge_emits_one_row_per_mesh(self, tmp_path):
         cfg = _small_configs(tmp_path)["converge"]
@@ -173,20 +254,21 @@ def _artifact_digest(out_dir):
 
 
 class TestArtifactGoldens:
-    """Digests of whole CLI runs: the spde ones recorded before the spde
-    config reader was rebuilt on the kind tables, the other five before the
-    CSV writer wrote column blocks.  Float bits of ``np.exp`` may differ on
-    other hardware: a mismatch there means re-record, not a bug."""
+    """Digests of whole CLI runs, recorded when manifests came to list only
+    the tolerances their experiment reads; every CSV was byte-identical to
+    the runs before, and every manifest equal once its tolerances and
+    versions were dropped.  Float bits of ``np.exp`` may differ on other
+    hardware: a mismatch there means re-record, not a bug."""
 
     _GOLDEN = {
-        "simulate": "8b567c2e8895987f3f661e81c1020141bf57542510af1fb2a8d8789d110bc082",
-        "integrate": "4c6ae4a8cfda4bb41f9efbc2a3f2e4cd0620ed8edc7f718024f8678735020256",
-        "isometry": "ee9517a27313634dbab9fae0d94dbc8a860e17ad8cda66a8c9517cf1e2623f66",
-        "poisson-identity": "e86a3fe4bd02caa5c4b754f95c11698e03604f4804f1d1e07c41d974da03a865",
-        "converge": "84d5c2355cfa592cec94e3c49d3f656f90545fc677000bee3a1f1ffd2cbc0bfc",
-        "spde": "05b3a538bbc4c605c5378f0a1b97a058fad19b224f6b4d4a66f535c79b352b59",
-        "diagnostics": "bdd77df0a406bf1e07bd74d4357dd826da1194c65d09185eedf5df5be465977e",
-        "spde_eigenvalues": "b718f58cd294ac1273db32a1a141dbf0861f5d69abc3b2c8c392bee6adc65835",
+        "simulate": "37483bb3d433fe49a9b2f642f3d12bc1277b24d3c4e1dd939b95358253c6dbbf",
+        "integrate": "4eabb264dc84f02bad54d583b78b58f8d0e5d99bd276840260b2d40fa6a58d9d",
+        "isometry": "2388dc4aa6ec3438a575783ad7206e8c0f54cb293d35e665f401efb45fbaebfd",
+        "poisson-identity": "08cb4e687c25e9eadd1ee98cc65aa746b512c350a0db43349c8726f31aac0ba7",
+        "converge": "58b4e478c6a78706ce7c9dfe8df0b03ccf43a5a852f13a00f08eb1025fb95e0e",
+        "spde": "6ee76fc503ad697a7b9a87189e064d659e3db2fa0ed94ae107facd150ed1d69f",
+        "diagnostics": "03493dd8d03b4d2e89953d36c691a44c5784ed13a89dfbd850a3e7cb07ae4523",
+        "spde_eigenvalues": "61bde5140f1fae21c88f0e761bed4946de47f5f65430a66ab5e8dd803fc2a368",
     }
 
     @pytest.mark.parametrize("name", list(_GOLDEN))
@@ -346,10 +428,11 @@ class TestExitCodes:
             ("simulate", {"driver": {"kind": "brownian", "drift": NAN}}, "driver.drift"),
             ("simulate", {"driver": {"kind": "brownian", "volatility": INF}}, "driver.volatility"),
             ("poisson-identity", {"rate": NAN}, "rate"),
-            ("isometry", {"tolerances": {"exact": "x"}}, "exact"),
+            ("poisson-identity", {"tolerances": {"exact": "x"}}, "tolerances.exact"),
             ("isometry", {"tolerances": {"z_max": -1}}, "z_max"),
             ("isometry", {"tolerances": {"z_max": NAN}}, "z_max"),
-            ("isometry", {"tolerances": {"se_multiplier": 0}}, "se_multiplier"),
+            ("simulate", {"tolerances": {"se_multiplier": 0}}, "tolerances.se_multiplier"),
+            ("simulate", {"tolerances": None}, "tolerances section"),
             ("simulate", {"paths": True}, "paths"),
             ("simulate", {"seed": True}, "seed"),
             ("simulate", {"paths": 10.5}, "paths"),
@@ -370,7 +453,7 @@ class TestExitCodes:
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
              "volatility_inf", "identity_rate_nan", "tolerance_text", "z_max_negative",
-             "z_max_nan", "se_multiplier_zero", "paths_bool", "seed_bool", "paths_fraction",
+             "z_max_nan", "se_multiplier_zero", "tolerances_null", "paths_bool", "seed_bool", "paths_fraction",
              "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
              "mesh_huge", "spde_paths_huge", "mesh_subnormal", "meshes_empty",
              "grid_points_and_steps", "grid_points_and_horizon", "grid_no_steps"],
@@ -466,7 +549,7 @@ class TestDeterminism:
 # one config per experiment that between them hold every section and key
 _FUZZ_BASES = [
     {"experiment": "simulate", "seed": 1, "paths": 8, "out": "o",
-     "tolerances": {"z_max": 4.0, "exact": 1e-12},
+     "tolerances": {"se_multiplier": 4.0},
      "driver": {"kind": "compound_poisson", "rate": 2.0, "compensated": True, "drift": 0.0,
                 "jump_law": {"kind": "normal", "loc": 0.1, "scale": 0.5}},
      "grid": {"horizon": 1.0, "steps": 8}},

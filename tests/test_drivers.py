@@ -67,18 +67,18 @@ class TestSpecValidation:
 
 class TestBracketRate:
     def test_unit_brownian(self):
-        assert li.bracket_rate(li.Brownian(volatility=1.0)) == 1.0
+        assert li.Brownian(volatility=1.0).bracket_rate() == 1.0
 
     def test_compensated_poisson(self):
-        assert li.bracket_rate(li.CompensatedPoisson(rate=2.0)) == 2.0
+        assert li.CompensatedPoisson(rate=2.0).bracket_rate() == 2.0
 
     def test_two_point_compound(self):
         spec = li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps())
-        assert li.bracket_rate(spec) == 3.0
+        assert spec.bracket_rate() == 3.0
 
     def test_exponential_compound(self):
         spec = li.CompoundPoisson(rate=3.0, jump_law=li.ExponentialJumps(rate=1.0))
-        assert li.bracket_rate(spec) == pytest.approx(6.0)
+        assert spec.bracket_rate() == pytest.approx(6.0)
 
 
 class TestSimulation:
@@ -103,7 +103,7 @@ class TestSimulation:
         spec = martingale_specs[spec_idx]
         ens = li.simulate_paths(spec, grid100, 100_000, 33 + spec_idx)
         m = li.martingale_part(spec, ens)
-        c = li.bracket_rate(spec)
+        c = spec.bracket_rate()
         for t_idx in (50, 100):
             mt = m.values[:, t_idx, 0]
             sq = (mt - mt.mean()) ** 2

@@ -118,7 +118,7 @@ class TestContinuityModulus:
         e = li.simulate_paths(spec, grid100, 100_000, seed)
         rep = li.ms_continuity_modulus(e)
         # increments have RMS sqrt(c*h); allow 3 SE per interval
-        target = np.sqrt(li.bracket_rate(spec) * 0.01)
+        target = np.sqrt(spec.bracket_rate() * 0.01)
         assert np.all(np.abs(rep.norms - target) <= 3 * rep.standard_errors + 1e-12)
 
     @pytest.mark.parametrize(
@@ -220,13 +220,6 @@ class TestPathEnsemble:
     def test_shape_validation(self, grid100):
         with pytest.raises(ConsistencyError):
             li.PathEnsemble(values=np.zeros((2, 5, 1)), grid=grid100)
-
-    def test_curve_stats(self, grid100):
-        e = li.simulate_paths(li.Brownian(), grid100, 2000, 6)
-        stats = li.curve_stats(e)
-        assert stats.sup_norm == pytest.approx(li.sup_l2_norm(e))
-        assert stats.second_moments.shape == (grid100.n_points,)
-        assert stats.modulus.norms.shape == (grid100.n_intervals,)
 
     def test_parallel_reduction_agreement(self, grid100):
         # chunk size is an internal detail; reductions agree across chunkings
