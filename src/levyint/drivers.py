@@ -319,22 +319,26 @@ def simulate_paths(
         adapted=True,
         continuous=jumps is None,
         jumps=tuple(jumps) if jumps is not None else None,
-        meta={"spec": spec, "seed": int(seed), "path_offset": int(path_offset)},
+        spec=spec,
     )
 
 
+def _check_driver(spec: LevySpec, ensemble: PathEnsemble) -> None:
+    """Raise unless the ensemble came from ``spec`` or records no driver."""
+    if ensemble.spec is not None and ensemble.spec != spec:
+        raise ConsistencyError(f"ensemble was simulated from {ensemble.spec!r}, not {spec!r}")
+
+
 def martingale_part(spec: LevySpec, ensemble: PathEnsemble) -> PathEnsemble:
-    """Path-by-path martingale part M_t = X_t - b*t of a simulated driver."""
-    src = ensemble.meta.get("spec")
-    if src is not None and src != spec:
-        raise ConsistencyError(f"ensemble was simulated from {src!r}, not {spec!r}")
+    """Path-by-path martingale part M_t = X_t - b*t of a simulated driver.
+
+    A driver without drift is its own martingale part: the input is returned.
+    """
+    _check_driver(spec, ensemble)
     b = spec.martingale_drift
     if b == 0.0:
-        out = ensemble.with_values(ensemble.values)
-    else:
-        out = ensemble.with_values(ensemble.values - b * ensemble.grid.points[None, :, None])
-    out.meta["martingale_part_of"] = spec
-    return out
+        return ensemble
+    return ensemble.with_values(ensemble.values - b * ensemble.grid.points[None, :, None])
 
 
 def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
@@ -343,6 +347,7 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
     Applicable to jump-driven ensembles only; the residual should be at the
     float roundoff level (see tolerance ``exact``).
     """
+    _check_driver(spec, ensemble)
     if ensemble.jumps is None:
         raise ConsistencyError("reconstruction needs jump records")
     pts = ensemble.grid.points

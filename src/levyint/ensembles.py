@@ -9,8 +9,8 @@ the paths in blocks of paired rows (``_blocks``), so that large ensembles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import (
     GridError,
     MissingJumpDataError,
 )
+
+if TYPE_CHECKING:
+    from .drivers import LevySpec
 
 # rows per block in path reductions; a reduction is bit-identical only at a
 # fixed block size
@@ -147,7 +150,9 @@ class PathEnsemble:
     Flags record how the ensemble was constructed:  ``adapted`` asserts that
     the value at t_j used driver information from [0, t_j] only;
     ``continuous`` marks paths that are continuous by construction;
-    ``grid_predictable`` marks left-limit representatives.
+    ``grid_predictable`` marks left-limit representatives.  ``spec`` is the
+    driver whose paths, or martingale part, the values are (None for any
+    other ensemble); functions given a driver beside its ensemble check it.
     """
 
     values: np.ndarray
@@ -156,7 +161,7 @@ class PathEnsemble:
     continuous: bool = False
     grid_predictable: bool = False
     jumps: tuple[JumpRecord, ...] | None = None
-    meta: dict = field(default_factory=dict)
+    spec: LevySpec | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -186,18 +191,9 @@ class PathEnsemble:
     def dim(self) -> int:
         return int(self.values.shape[2])
 
-    def with_values(self, values: np.ndarray, **overrides) -> "PathEnsemble":
-        """Same metadata, new values (flags overridable by keyword)."""
-        kwargs = dict(
-            grid=self.grid,
-            adapted=self.adapted,
-            continuous=self.continuous,
-            grid_predictable=self.grid_predictable,
-            jumps=self.jumps,
-            meta=dict(self.meta),
-        )
-        kwargs.update(overrides)
-        return PathEnsemble(values=values, **kwargs)
+    def with_values(self, values: np.ndarray) -> "PathEnsemble":
+        """Same grid, flags, jumps and spec; new values."""
+        return replace(self, values=values)
 
     @classmethod
     def deterministic(
@@ -225,7 +221,6 @@ class PathEnsemble:
             grid=grid,
             adapted=True,
             continuous=True,
-            meta={"deterministic": True},
         )
 
 
@@ -385,4 +380,4 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
         sizes = np.concatenate([rec.sizes for rec in ensemble.jumps])
         values = values.copy()
         values[rows[hit], idx[hit], :] -= sizes[hit, None]
-    return ensemble.with_values(values, grid_predictable=True)
+    return replace(ensemble, values=values, grid_predictable=True)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import LevySpec
+from .drivers import LevySpec, _check_driver
 from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _z_score, left_limit,
                         second_moments, sup_l2_norm)
-from .errors import AdaptednessError, DomainError
+from .errors import AdaptednessError, DomainError, ParameterError
 from .riemann import riemann_sum
 from .tolerances import DEFAULTS
 
@@ -98,11 +98,13 @@ def injectivity_witness(phi: PathEnsemble, tol: float = DEFAULTS["quadrature"]) 
     vanishing quadrature caps the attainable sup; the matched sup tolerance
     is sqrt(tol / min interval).
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     pphi = predictable_version(phi)
     seminorm_sq = _left_quadrature(second_moments(pphi), phi.grid.dt)
     sup = sup_l2_norm(phi)
     matched = np.sqrt(tol / float(np.min(phi.grid.dt)))
-    consistent = (seminorm_sq > tol) or (sup <= matched)
+    consistent = bool(seminorm_sq > tol or sup <= matched)
     return InjectivityReport(seminorm_sq=seminorm_sq, sup_norm=sup, consistent=consistent)
 
 
@@ -111,13 +113,15 @@ def ito_isometry_check(
 ) -> IsometryReport:
     """Compare E||(Phi . M)_T||^2 against c * sum E||pPhi_{t_i}||^2 dt_i.
 
-    The driver must be a martingale (zero decomposition drift).  Both sides
-    are estimated from the same paths; the reported z-score is the paired
-    mean difference over its standard error, which is exactly the statistic
-    the discrete isometry identity predicts to be standard normal.
+    The driver must be a martingale (zero decomposition drift) and ``m``
+    its paths, or paths that record no driver.  Both sides are estimated
+    from the same paths; the reported z-score is the paired mean difference
+    over its standard error, which is exactly the statistic the discrete
+    isometry identity predicts to be standard normal.
     """
     if spec.martingale_drift != 0.0:
         raise DomainError("isometry holds for martingale drivers; decompose first")
+    _check_driver(spec, m)
     pphi = predictable_version(phi)
     c = spec.bracket_rate()
     n = max(pphi.n_paths, m.n_paths)

@@ -30,8 +30,6 @@ class RiemannSumResult:
     """Per-path left-endpoint sums at the partition's final time."""
 
     values: np.ndarray  # (n_paths, dim)
-    partition: TimeGrid
-    mesh: float
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.values)):
@@ -88,19 +86,19 @@ def riemann_sum(
     n = _pairing(phi, m)
     if m.dim != 1:
         raise ConsistencyError("integrator must be scalar")
+    # _pairing requires one grid for phi and m, so one index array serves both
     pi = _partition_indices(phi.grid, partition)
-    mi = _partition_indices(m.grid, partition)
     out = np.empty((n, phi.dim))
     for sl, pv, mv in _blocks(n, phi, m):
         pv = pv[:, pi[:-1], :]
-        dm = np.diff(mv[:, mi, 0], axis=1)
+        dm = np.diff(mv[:, pi, 0], axis=1)
         if pv.shape[0] == 1 and dm.shape[0] > 1:
             out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
         elif dm.shape[0] == 1 and pv.shape[0] > 1:
             out[sl] = np.einsum("pjd,j->pd", pv, dm[0])
         else:
             out[sl] = np.einsum("pjd,pj->pd", pv, dm)
-    return RiemannSumResult(values=out, partition=partition, mesh=partition.mesh)
+    return RiemannSumResult(values=out)
 
 
 def _left_sums(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
@@ -130,7 +128,6 @@ def integral_process(phi: PathEnsemble, m: PathEnsemble) -> PathEnsemble:
         grid=phi.grid,
         adapted=True,
         continuous=m.continuous,
-        meta={"integral_of": phi.meta.get("spec"), "against": m.meta.get("spec")},
     )
 
 
@@ -145,7 +142,6 @@ def bochner_integral(phi: PathEnsemble) -> PathEnsemble:
         grid=phi.grid,
         adapted=phi.adapted,
         continuous=True,
-        meta={"time_integral_of": phi.meta.get("spec")},
     )
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .drivers import LevySpec, child_seed, simulate_paths
+from .drivers import LevySpec, _check_driver, child_seed, simulate_paths
 from .ensembles import (
     ModulusReport,
     PathEnsemble,
@@ -181,9 +181,7 @@ def stochastic_convolution(
     """
     if not phi.adapted:
         raise AdaptednessError("convolution integrand must be adapted")
-    src = x.meta.get("spec")
-    if src is not None and src != spec:
-        raise ConsistencyError(f"driver ensemble was simulated from {src!r}, not {spec!r}")
+    _check_driver(spec, x)
     if phi.grid != x.grid:
         raise ConsistencyError("convolution needs a common grid")
     if x.dim != 1:
@@ -206,7 +204,6 @@ def stochastic_convolution(
         grid=grid,
         adapted=True,
         continuous=x.continuous,
-        meta={"convolution_against": spec},
     )
 
 
@@ -320,12 +317,6 @@ def mild_solution_restarted(
         grid=grid,
         adapted=True,
         continuous=continuous,
-        meta={
-            "drivers": tuple(problem.drivers),
-            "seed": int(seed),
-            "path_offset": int(path_offset),
-            "n_blocks": int(n_blocks),
-        },
     )
     return solution, reports
 

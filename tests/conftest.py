@@ -33,9 +33,8 @@ def cadlag_specs():
 def ensemble_from_record(grid, record, drift=0.0, spec=None):
     """Single-path cadlag ensemble evaluated exactly from a jump record."""
     values = (record.values_at(grid.points) + drift * grid.points)[None, :, None]
-    meta = {"spec": spec} if spec is not None else {}
     return li.PathEnsemble(
-        values=values, grid=grid, adapted=True, jumps=(record,), meta=meta
+        values=values, grid=grid, adapted=True, jumps=(record,), spec=spec
     )
 
 

@@ -114,6 +114,19 @@ class TestConfigParsing:
         assert cfg.problem.alpha_lipschitz == 0.5
         assert cfg.problem.sigma_lipschitz == (0.0, 0.0)
 
+    def test_oversized_spde_is_rejected_before_its_operator_is_built(self):
+        # 2**24 eigenvalues take 128 MiB; the array they imply does not fit the limit
+        raw = {"experiment": "spde", "paths": 1000, "grid": {"horizon": 1.0, "steps": 64},
+               "spde": {"heat_dim": 2**24}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="grid points"):
+                parse_config(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_hash_stability(self):
         a = parse_config({"experiment": "simulate", "seed": 1})
         b = parse_config({"seed": 1, "experiment": "simulate"})
@@ -334,8 +347,13 @@ class TestNoPassWithoutEvidence:
         "kind, cfg",
         [("isometry", {"paths": 1, "seed": 3, "integrand": "driver"}),  # SE 0, lhs 6.9e-7, rhs 0.398
          ("simulate", {"paths": 2, "driver": {"kind": "brownian", "volatility": 5.0}}),  # no SE
-         ("integrate", {"paths": 2, "integrand": "time"})],  # no check applies
-        ids=["isometry_one_path", "simulate_two_paths", "integrate_no_check"],
+         ("integrate", {"paths": 2, "integrand": "time"}),  # no check applies
+         ("diagnostics", {"paths": 1, "seed": 0, "grid": {"horizon": 1.0, "steps": 16},  # SE 0
+                          "spde": {"heat_dim": 3, "tol": 1e-8, "max_iter": 10,
+                                   "sigmas": [{"kind": "constant", "value": 1.0,
+                                               "driver": {"kind": "brownian"}}]}})],
+        ids=["isometry_one_path", "simulate_two_paths", "integrate_no_check",
+             "diagnostics_one_path"],
     )
     def test_run_fails(self, tmp_path, kind, cfg):
         cfg = {**cfg, "out": str(tmp_path)}

@@ -115,6 +115,12 @@ class TestSimulation:
             ens = li.simulate_paths(spec, grid100, 200, 5)
             assert reconstruction_residual(spec, ens) < 1e-12
 
+    def test_reconstruction_of_another_drivers_paths_rejected(self, grid100):
+        # rebuilt with the wrong drift, the residual would be 2.0
+        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 5, 5)
+        with pytest.raises(ConsistencyError):
+            reconstruction_residual(li.standard_poisson(rate=2.0), ens)
+
     def test_increments_uncorrelated_over_disjoint_intervals(self, grid100):
         ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 40_000, 8)
         x = ens.values[:, :, 0]
@@ -129,7 +135,7 @@ class TestMartingalePart:
         spec = li.Brownian(volatility=1.0)
         ens = li.simulate_paths(spec, grid100, 10, 2)
         m = li.martingale_part(spec, ens)
-        assert np.array_equal(m.values, ens.values)
+        assert m is ens
 
     def test_standard_poisson_decomposition(self, grid100):
         # a path sitting at 3 at time 1 has martingale part 3 - rate*1

@@ -235,6 +235,15 @@ class TestPathEnsemble:
             ens_mod._CHUNK_ROWS = old
         assert abs(full - chunked) < 1e-9
 
+    def test_with_values_keeps_everything_but_the_values(self, grid100):
+        spec = li.CompensatedPoisson(rate=2.0)
+        e = li.left_limit(li.simulate_paths(spec, grid100, 5, 1))
+        d = e.with_values(e.values + 1.0)
+        assert np.array_equal(d.values, e.values + 1.0)
+        assert (d.grid, d.adapted, d.continuous, d.grid_predictable) == (e.grid, True, False, True)
+        assert d.jumps is e.jumps
+        assert d.spec == spec
+
 
 def _reduction_outputs():
     """Every path reduction on fixed ensembles: sampled and deterministic

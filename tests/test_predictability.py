@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import levyint as li
-from levyint.errors import AdaptednessError, DomainError
+from levyint.errors import AdaptednessError, ConsistencyError, DomainError, ParameterError
 
 
 class TestPredictableVersion:
@@ -98,7 +98,7 @@ class TestInjectivityWitness:
         rep = li.injectivity_witness(phi)
         assert rep.seminorm_sq == 0.0
         assert rep.sup_norm == 0.0
-        assert rep.consistent
+        assert rep.consistent is True  # a Python bool
 
     def test_vanishing_ramp(self, grid100):
         phi = li.PathEnsemble.deterministic(grid100, lambda t: np.maximum(0.0, t - 1.0))
@@ -114,6 +114,12 @@ class TestInjectivityWitness:
         assert rep.seminorm_sq == pytest.approx(eps**2, rel=1e-9)
         assert rep.sup_norm == pytest.approx(eps, rel=1e-9)
         assert rep.consistent
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        phi = li.PathEnsemble.deterministic(li.TimeGrid.uniform(1.0, 8), 1.0)
+        with pytest.raises(ParameterError):
+            li.injectivity_witness(phi, tol=tol)
 
 
 class TestItoIsometry:
@@ -150,6 +156,14 @@ class TestItoIsometry:
         phi = li.PathEnsemble.deterministic(grid100, 1.0)
         with pytest.raises(DomainError):
             li.ito_isometry_check(phi, spec, m)
+
+    def test_paths_of_another_driver_rejected(self):
+        # with the bracket rate of the wrong driver: lhs 3.92, rhs 1.0, z 24
+        grid = li.TimeGrid.uniform(1.0, 100)
+        m = li.simulate_paths(li.Brownian(volatility=2.0), grid, 2000, 1)
+        phi = li.PathEnsemble.deterministic(grid, 1.0)
+        with pytest.raises(ConsistencyError):
+            li.ito_isometry_check(phi, li.Brownian(volatility=1.0), m)
 
 
 class TestProjectionVsLeftLimit:
