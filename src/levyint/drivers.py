@@ -18,12 +18,12 @@ identical (spec, grid, n_paths, seed), and ensembles simulated in chunks with
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
 
-from .ensembles import JumpRecord, PathEnsemble, TimeGrid
+from .ensembles import JumpRecord, PathEnsemble, TimeGrid, _blocks
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
@@ -311,9 +311,7 @@ def simulate_paths(
     else:
         raise ParameterError(f"unknown driver spec {type(spec).__name__}")
 
-    if not np.all(np.isfinite(values)):
-        raise NumericError("simulation produced non-finite values")
-    return PathEnsemble(
+    ensemble = PathEnsemble(
         values=values,
         grid=grid,
         adapted=True,
@@ -321,24 +319,39 @@ def simulate_paths(
         jumps=tuple(jumps) if jumps is not None else None,
         spec=spec,
     )
+    # block by block: a whole-ensemble mask would be a full-size temporary
+    for _, block in _blocks(n_paths, ensemble):
+        if not np.isfinite(block).all():
+            raise NumericError("simulation produced non-finite values")
+    return ensemble
 
 
 def _check_driver(spec: LevySpec, ensemble: PathEnsemble) -> None:
-    """Raise unless the ensemble came from ``spec`` or records no driver."""
+    """Raise unless the ensemble holds paths of ``spec`` or records no driver."""
     if ensemble.spec is not None and ensemble.spec != spec:
-        raise ConsistencyError(f"ensemble was simulated from {ensemble.spec!r}, not {spec!r}")
+        raise ConsistencyError(f"ensemble holds paths of {ensemble.spec!r}, not of {spec!r}")
+
+
+def _martingale_spec(spec: LevySpec) -> LevySpec:
+    """The driver whose paths are the martingale part M_t = X_t - b*t of spec's."""
+    if isinstance(spec, CompoundPoisson):
+        return replace(spec, drift=0.0, compensated=True)
+    return replace(spec, drift=0.0)
 
 
 def martingale_part(spec: LevySpec, ensemble: PathEnsemble) -> PathEnsemble:
     """Path-by-path martingale part M_t = X_t - b*t of a simulated driver.
 
-    A driver without drift is its own martingale part: the input is returned.
+    The result records the martingale driver (spec without drift, and
+    compensated) as its spec.  A driver without drift is its own martingale
+    part: the input is returned.
     """
     _check_driver(spec, ensemble)
     b = spec.martingale_drift
     if b == 0.0:
         return ensemble
-    return ensemble.with_values(ensemble.values - b * ensemble.grid.points[None, :, None])
+    return replace(ensemble, values=ensemble.values - b * ensemble.grid.points[None, :, None],
+                   spec=_martingale_spec(spec))
 
 
 def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:

@@ -151,8 +151,9 @@ class PathEnsemble:
     the value at t_j used driver information from [0, t_j] only;
     ``continuous`` marks paths that are continuous by construction;
     ``grid_predictable`` marks left-limit representatives.  ``spec`` is the
-    driver whose paths, or martingale part, the values are (None for any
-    other ensemble); functions given a driver beside its ensemble check it.
+    driver whose paths the values are (a martingale part records the
+    martingale driver; None for any other ensemble); functions given a driver
+    beside its ensemble check it.
     """
 
     values: np.ndarray
@@ -192,8 +193,8 @@ class PathEnsemble:
         return int(self.values.shape[2])
 
     def with_values(self, values: np.ndarray) -> "PathEnsemble":
-        """Same grid, flags, jumps and spec; new values."""
-        return replace(self, values=values)
+        """Same grid, flags and jumps; new values, which are no driver's paths."""
+        return replace(self, values=values, spec=None)
 
     @classmethod
     def deterministic(
@@ -235,21 +236,36 @@ def _pairing(a: PathEnsemble, b: PathEnsemble) -> int:
     return max(a.n_paths, b.n_paths)
 
 
-def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False) -> Iterator[tuple]:
+def _row_slices(n: int, rows: int | None) -> Iterator[slice]:
+    """Blocks of ``_CHUNK_ROWS`` rows, each cut into pieces of ``rows`` >= 2
+    rows if given.  A cut leaves no row alone: einsum sums a lone row's terms
+    in another order than a block's, so a row stands alone only where the
+    uncut blocks put it."""
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        cuts = range(start, stop, rows or _CHUNK_ROWS)
+        if len(cuts) > 1 and stop - cuts[-1] == 1:
+            cuts = cuts[:-1]
+        for a, b in zip(cuts, (*cuts[1:], stop)):
+            yield slice(a, b)
+
+
+def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
+            rows: int | None = None) -> Iterator[tuple]:
     """Row slices of n paired paths, each with every ensemble's values on it.
 
     Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
     paired with n > 1 paths comes whole, shape (1, n_points, dim), or with
-    ``broadcast`` as a read-only view repeated to the block's rows.
+    ``broadcast`` as a read-only view repeated to the block's rows.  Slices
+    hold ``_CHUNK_ROWS`` rows, or about ``rows`` (see ``_row_slices``).
     """
-    for start in range(0, n, _CHUNK_ROWS):
-        sl = slice(start, min(start + _CHUNK_ROWS, n))
+    for sl in _row_slices(n, rows):
         blocks = []
         for x in ensembles:
             if x.n_paths == n:
                 blocks.append(x.values[sl])
             elif broadcast:
-                blocks.append(np.broadcast_to(x.values, (sl.stop - start,) + x.values.shape[1:]))
+                blocks.append(np.broadcast_to(x.values, (sl.stop - sl.start,) + x.values.shape[1:]))
             else:
                 blocks.append(x.values)
         yield (sl, *blocks)

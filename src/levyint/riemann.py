@@ -62,6 +62,11 @@ class MeshStudy:
             raise ConsistencyError("squared differences must be nonnegative")
 
 
+# rows per block in riemann_sum: small blocks keep its increments in cache
+# (each path's sum is the same at any block size, see ensembles._row_slices)
+_SUM_ROWS = 32
+
+
 def _require_adapted(phi: PathEnsemble) -> None:
     if not phi.adapted:
         raise AdaptednessError("integrand must be flagged adapted")
@@ -88,10 +93,19 @@ def riemann_sum(
         raise ConsistencyError("integrator must be scalar")
     # _pairing requires one grid for phi and m, so one index array serves both
     pi = _partition_indices(phi.grid, partition)
+    step = int(pi[1] - pi[0])
+    # a uniform partition is a slice: views, where an index array copies
+    cols = slice(int(pi[0]), int(pi[-1]) + 1, step) if np.all(np.diff(pi) == step) else pi
     out = np.empty((n, phi.dim))
-    for sl, pv, mv in _blocks(n, phi, m):
-        pv = pv[:, pi[:-1], :]
-        dm = np.diff(mv[:, pi, 0], axis=1)
+    for sl, pv, mv in _blocks(n, phi, m, rows=_SUM_ROWS):
+        v = mv[:, cols, 0]
+        # time-major (F-ordered) increments, as numpy lays out the gather
+        # mv[:, pi, 0]: einsum then adds each path's terms in time order
+        # whatever the layout of pv, so the sums keep their bits
+        dm = np.subtract(v[:, 1:], v[:, :-1], order="F")
+        # one row of increments leaves that order to pv's layout, which only
+        # the gather's time-major copy fixes
+        pv = pv[:, cols, :][:, :-1, :] if dm.shape[0] > 1 else pv[:, pi[:-1], :]
         if pv.shape[0] == 1 and dm.shape[0] > 1:
             out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
         elif dm.shape[0] == 1 and pv.shape[0] > 1:

@@ -160,6 +160,20 @@ class TestMartingalePart:
         with pytest.raises(ConsistencyError):
             li.martingale_part(li.Brownian(volatility=2.0), ens)
 
+    @pytest.mark.parametrize("spec, martingale", [
+        (li.standard_poisson(rate=1.0), li.CompensatedPoisson(rate=1.0)),
+        (li.CompoundPoisson(rate=2.0, jump_law=li.ExponentialJumps(rate=1.0), compensated=False, drift=0.5),
+         li.CompoundPoisson(rate=2.0, jump_law=li.ExponentialJumps(rate=1.0))),
+    ])
+    def test_records_the_martingale_driver(self, grid100, spec, martingale):
+        ens = li.simulate_paths(spec, grid100, 20, 4)
+        m = li.martingale_part(spec, ens)
+        assert m.spec == martingale
+        assert reconstruction_residual(martingale, m) < 1e-12
+        # the drift is subtracted once: the martingale part is not spec's paths
+        with pytest.raises(ConsistencyError):
+            li.martingale_part(spec, m)
+
     def test_jump_records_preserved(self, grid100):
         spec = li.CompoundPoisson(rate=2.0, jump_law=li.ExponentialJumps(rate=1.0))
         ens = li.simulate_paths(spec, grid100, 20, 3)

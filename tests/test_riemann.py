@@ -1,10 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import levyint as li
+import levyint.ensembles as ens_mod
+import levyint.riemann as riemann_mod
 from levyint.cli import main
 from levyint.errors import AdaptednessError, GridError, InsufficientDataError
 
@@ -54,6 +57,72 @@ class TestRiemannSum:
         bad = li.TimeGrid([0.0, 0.333, 1.0])
         with pytest.raises(GridError):
             li.riemann_sum(phi, m, bad)
+
+    def test_memory_does_not_grow_with_the_block(self):
+        # 93.8 MiB when each 4096-row block gathered phi, m and m's increments
+        grid = li.TimeGrid.uniform(1.0, 1000)
+        x = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid, 4096, 7)
+        phi = li.left_limit(x)
+        tracemalloc.start()
+        try:
+            li.riemann_sum(phi, x, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def _sum_outputs():
+    """riemann_sum on every partition shape (full grid, stride, ending before
+    T, not arithmetic) and every einsum branch (sampled, single-path
+    integrand, single-path integrator, two coordinates), on 275 = 2 * 137 + 1
+    paths: no tested block size divides it, and at 137 rows the last path
+    sits alone in its block."""
+    grid = li.TimeGrid.uniform(1.0, 24)
+    bw = li.simulate_paths(li.Brownian(), grid, 275, 3)
+    cp = li.simulate_paths(li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(scale=0.7)), grid, 275, 4)
+    two = li.PathEnsemble(np.concatenate([bw.values, cp.values], axis=2), grid, adapted=True)
+    ramp = li.PathEnsemble.deterministic(grid, lambda t: t)
+    curve2 = li.PathEnsemble.deterministic(grid, lambda t: np.stack([t, 1 - t * t], axis=1), dim=2)
+    square = li.PathEnsemble.deterministic(grid, lambda t: t * t)
+    partitions = (grid, li.uniform_partition(grid, 1.0, 4 / 24), li.uniform_partition(grid, 0.5, 2 / 24),
+                  li.TimeGrid(grid.points[[0, 1, 2, 5, 11, 12, 20]]))
+    pairs = ((bw, cp), (li.left_limit(cp), cp), (two, bw), (ramp, cp), (curve2, bw), (bw, square),
+             (two, square))
+    h = hashlib.sha256()
+    for phi, m in pairs:
+        for part in partitions:
+            h.update(li.riemann_sum(phi, m, part).values.tobytes())
+    return h.hexdigest()
+
+
+_SUMS_AT_4096 = "850e73d3c860f6f344454832d3c70daff7efd3b9b4e36eec69b1c528914a9f42"
+
+
+class TestRiemannSumGoldens:
+    """sha256 of riemann_sum at four block sizes, recorded when it gathered
+    partition columns with an index array in blocks of _CHUNK_ROWS rows; a
+    change here means the sums changed.  A path alone in its block sums in
+    another order, so 137 and 1 rows have their own digests."""
+
+    @pytest.mark.parametrize(
+        "rows, expect",
+        [
+            (4096, _SUMS_AT_4096),
+            (137, "60234fae98934ce4bc8bbcc150fe6380bf8fb0551bb6aa696dd0be89c54e80c8"),
+            (32, _SUMS_AT_4096),
+            (1, "74b26659da16c454805a3e1cb5a0f74db4b527adff63bd8df0f407309008a059"),
+        ],
+    )
+    def test_sums(self, monkeypatch, rows, expect):
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        assert _sum_outputs() == expect
+
+    @pytest.mark.parametrize("rows", [2, 3, 32, 137, 4096])
+    def test_sums_do_not_depend_on_the_rows_riemann_sum_walks(self, monkeypatch, rows):
+        # 275 rows in pieces of 2 would leave the last one alone
+        monkeypatch.setattr(riemann_mod, "_SUM_ROWS", rows)
+        assert _sum_outputs() == _SUMS_AT_4096
 
 
 class TestIntegralProcess:
