@@ -13,6 +13,14 @@ start of that path's stream, which is cheaper than building a generator per
 path and draws the same numbers.  Output is therefore bit-identical for
 identical (spec, grid, n_paths, seed), and ensembles simulated in chunks with
 ``path_offset`` reproduce the corresponding slice of a single large run.
+
+Only the draws run path by path.  Everything after them runs over all paths
+in small row blocks: Brownian increments are scaled and summed a block at a
+time, and jump records become grid values through the one function that
+also serves ``JumpRecord.values_at``.  The jump records of an ensemble are
+read-only views of two shared arrays, one of times and one of sizes.  Each
+path's numbers are formed by the same operations in the same order as a
+path on its own, so output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import JumpRecord, PathEnsemble, TimeGrid, _blocks
+from .ensembles import (JumpRecord, PathEnsemble, TimeGrid, _jump_arrays, _jump_values, _pairs_within,
+                        _readonly)
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
@@ -232,13 +241,33 @@ def _exact_jump_times(rng: np.random.Generator, rate: float, horizon: float) -> 
     return np.asarray(times)
 
 
+# rows per fill block: 256 rows x 1001 points of float64 is 2 MiB per
+# temporary.  Fills are bit-identical at any block size.
+_FILL_ROWS = 256
+
+
+def _row_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first row, rows)`` blocks of ``values[:, :, 0]`` for the caller to
+    fill; each block is checked finite when the caller asks for the next."""
+    for a in range(0, values.shape[0], _FILL_ROWS):
+        block = values[a:a + _FILL_ROWS, :, 0]
+        yield a, block
+        if not np.isfinite(block).all():
+            raise NumericError("simulation produced non-finite values")
+
+
 def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, rngs) -> None:
-    sqrt_dt = np.sqrt(grid.dt)
-    for i, rng in enumerate(rngs):
-        values[i, 0, 0] = 0.0
-        np.cumsum(rng.standard_normal(grid.n_intervals) * (spec.volatility * sqrt_dt),
-                  out=values[i, 1:, 0])
-    values[:, :, 0] += spec.drift * grid.points
+    scale = spec.volatility * np.sqrt(grid.dt)
+    drift = spec.drift * grid.points
+    noise = np.empty((_FILL_ROWS, grid.n_intervals))
+    for _, block in _row_blocks(values):
+        steps = noise[:len(block)]
+        for row, rng in zip(steps, rngs):
+            rng.standard_normal(out=row)
+        steps *= scale
+        block[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=block[:, 1:])
+        block += drift
 
 
 def _path_drift(spec: LevySpec) -> float:
@@ -250,16 +279,26 @@ def _path_drift(spec: LevySpec) -> float:
     raise ConsistencyError(f"{type(spec).__name__} is not a jump-driven spec")
 
 
-def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, jumps: list, rngs) -> None:
+def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> tuple[JumpRecord, ...]:
+    compound = isinstance(spec, CompoundPoisson)
+    times, sizes = [], []
+    for rng in rngs:
+        t = _exact_jump_times(rng, spec.rate, grid.horizon)
+        times.append(t)
+        if compound:
+            sizes.append(spec.jump_law.sample(rng, t.size))
+    bounds = np.zeros(len(times) + 1, dtype=np.intp)
+    np.cumsum([t.size for t in times], out=bounds[1:])
+    # read-only before slicing: a view of a writable base stays writable
+    times = _readonly(np.concatenate(times))
+    sizes = _readonly(np.concatenate(sizes) if compound else np.ones(times.size))
+    if not (times[1:] > times[:-1])[_pairs_within(bounds)].all():
+        raise ConsistencyError("jump times must be strictly increasing")
     drift = _path_drift(spec) * grid.points
-    for i, rng in enumerate(rngs):
-        times = _exact_jump_times(rng, spec.rate, grid.horizon)
-        if isinstance(spec, CompoundPoisson):
-            sizes = spec.jump_law.sample(rng, times.size)
-        else:
-            sizes = np.ones_like(times)
-        jumps[i] = JumpRecord(times=times, sizes=sizes)
-        values[i, :, 0] = jumps[i].values_at(grid.points) + drift
+    for a, block in _row_blocks(values):
+        np.add(_jump_values(grid.points, times, sizes, bounds[a:a + len(block) + 1]), drift, out=block)
+    ends = bounds.tolist()
+    return tuple(JumpRecord._view(times[a:b], sizes[a:b]) for a, b in zip(ends[:-1], ends[1:]))
 
 
 def simulate_paths(
@@ -276,8 +315,9 @@ def simulate_paths(
     ----------
     spec:
         Driver description; jump-driven specs also produce exact per-path
-        jump records (times and sizes), so Stieltjes sums can be formed
-        without discretization error.
+        jump records (times and sizes, read-only views of two arrays shared
+        by the ensemble), so Stieltjes sums can be formed without
+        discretization error.
     grid:
         Sampling times; values follow the right-continuous convention at
         jump times that fall exactly on grid points.
@@ -286,7 +326,9 @@ def simulate_paths(
         bit-identical output; different seeds give different ensembles.
     path_offset:
         Index of the first path's stream.  Simulating [0, k) and [k, n) in
-        two calls concatenates to the single-call [0, n) ensemble.
+        two calls concatenates to the single-call [0, n) ensemble.  Each
+        path draws from its own stream in turn; grid values are then filled
+        in row blocks, and each block is checked finite (``NumericError``).
     threads:
         Ignored: simulation runs on one thread.  Kept only because the
         benchmark probe ``perfbench/workloads.py::threads_baseline`` passes
@@ -301,29 +343,15 @@ def simulate_paths(
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     rngs = _path_rngs(key, path_offset, n_paths)
     values = np.empty((n_paths, grid.n_points, 1))
-    jumps: list | None = None
-
+    jumps = None
     if isinstance(spec, Brownian):
         _fill_brownian(spec, grid, values, rngs)
     elif isinstance(spec, (CompensatedPoisson, CompoundPoisson)):
-        jumps = [None] * n_paths
-        _fill_jump(spec, grid, values, jumps, rngs)
+        jumps = _fill_jump(spec, grid, values, rngs)
     else:
         raise ParameterError(f"unknown driver spec {type(spec).__name__}")
-
-    ensemble = PathEnsemble(
-        values=values,
-        grid=grid,
-        adapted=True,
-        continuous=jumps is None,
-        jumps=tuple(jumps) if jumps is not None else None,
-        spec=spec,
-    )
-    # block by block: a whole-ensemble mask would be a full-size temporary
-    for _, block in _blocks(n_paths, ensemble):
-        if not np.isfinite(block).all():
-            raise NumericError("simulation produced non-finite values")
-    return ensemble
+    return PathEnsemble(values=values, grid=grid, adapted=True, continuous=jumps is None,
+                        jumps=jumps, spec=spec)
 
 
 def _check_driver(spec: LevySpec, ensemble: PathEnsemble) -> None:
@@ -365,10 +393,11 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
         raise ConsistencyError("reconstruction needs jump records")
     pts = ensemble.grid.points
     drift = _path_drift(spec) * pts
+    times, sizes, bounds = _jump_arrays(ensemble.jumps)
     worst = 0.0
-    for p, rec in enumerate(ensemble.jumps):
-        rebuilt = rec.values_at(pts) + drift
-        worst = max(worst, float(np.max(np.abs(rebuilt - ensemble.values[p, :, 0]))))
+    for a in range(0, ensemble.n_paths, _FILL_ROWS):
+        rebuilt = _jump_values(pts, times, sizes, bounds[a:a + _FILL_ROWS + 1]) + drift
+        worst = max(worst, float(np.max(np.abs(rebuilt - ensemble.values[a:a + _FILL_ROWS, :, 0]))))
     return worst
 
 
@@ -381,5 +410,6 @@ def reject_coincident_jumps(ensemble: PathEnsemble) -> None:
     """Raise if two consecutive jump times of a path are closer than the separation floor."""
     if ensemble.jumps is None:
         raise ConsistencyError("ensemble carries no jump records")
-    if any(rec.count > 1 and np.min(np.diff(rec.times)) < _JUMP_SEPARATION for rec in ensemble.jumps):
+    times, _, bounds = _jump_arrays(ensemble.jumps)
+    if (np.diff(times)[_pairs_within(bounds)] < _JUMP_SEPARATION).any():
         raise NumericError("coincident jump times sampled; rerun with a different seed")

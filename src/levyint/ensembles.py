@@ -128,14 +128,76 @@ class JumpRecord:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)
 
+    @classmethod
+    def _view(cls, times: np.ndarray, sizes: np.ndarray) -> "JumpRecord":
+        """Record over read-only float64 views whose checks the caller made
+        for all records at once; skips ``__post_init__``."""
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "times", times)
+        object.__setattr__(rec, "sizes", sizes)
+        return rec
+
     @property
     def count(self) -> int:
         return int(self.times.size)
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Sum of the jumps up to each time, a jump at t counted at t (cadlag)."""
-        cum = np.concatenate(([0.0], np.cumsum(self.sizes)))
-        return cum[np.searchsorted(self.times, points, side="right")]
+        return _jump_values(points, self.times, self.sizes, (0, self.times.size))[0]
+
+
+def _jump_arrays(jumps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every record's times and sizes end to end, and the bounds of the records'
+    runs: record r is ``[bounds[r]:bounds[r + 1]]``."""
+    bounds = np.zeros(len(jumps) + 1, dtype=np.intp)
+    np.cumsum([rec.count for rec in jumps], out=bounds[1:])
+    return (np.concatenate([rec.times for rec in jumps]),
+            np.concatenate([rec.sizes for rec in jumps]), bounds)
+
+
+def _pairs_within(bounds: np.ndarray) -> np.ndarray:
+    """Mask of the adjacent pairs (k, k + 1) of concatenated records that lie
+    in one record, for arrays laid out by ``bounds`` from 0."""
+    inside = np.ones(max(int(bounds[-1]) - 1, 0), dtype=bool)
+    cuts = bounds[1:-1]
+    inside[cuts[(cuts > 0) & (cuts < bounds[-1])] - 1] = False
+    return inside
+
+
+def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+                 bounds: np.ndarray | tuple[int, int]) -> np.ndarray:
+    """Sum of each record's jumps up to each point, a jump at t counted at t.
+
+    Row r of the result is the record ``times[bounds[r]:bounds[r + 1]]``
+    (strictly increasing) with its sizes, at the nondecreasing ``points``
+    (in any order for one record).  Each row's sizes are summed in time
+    order by one cumsum along the row, so a row has the bits of
+    ``np.cumsum`` of its record's sizes alone; the zero before the first
+    jump is not added to them, so a -0.0 size keeps its sign.
+    """
+    lo, hi, rows = int(bounds[0]), int(bounds[-1]), len(bounds) - 1
+    times, sizes = times[lo:hi], sizes[lo:hi]
+    if rows == 1:
+        # the same sums indexed by the count of jumps at or before each
+        # point: a few calls where the block form below takes twenty
+        cum = np.concatenate(([0.0], np.cumsum(sizes)))
+        return cum[np.searchsorted(times, points, side="right")][None]
+    n = points.size
+    counts = np.diff(bounds)
+    row = np.repeat(np.arange(rows), counts)
+    col = np.arange(times.size) - (np.repeat(bounds[:-1], counts) - lo)
+    cum = np.zeros((rows, int(counts.max(initial=0))))
+    cum[row, col] = sizes
+    np.cumsum(cum, axis=1, out=cum)
+    # Each row is a run of 0.0 followed by one run per jump, which starts at
+    # the first point at or after the jump (a jump after the last point
+    # gets an empty run).  Runs are laid out row after row.
+    at_jump = np.arange(times.size) + row + 1
+    runs = np.zeros(rows + times.size)
+    runs[at_jump] = cum[row, col]
+    starts = np.repeat(np.arange(rows) * n, counts + 1)
+    starts[at_jump] += np.searchsorted(points, times, side="left")
+    return np.repeat(runs, np.diff(starts, append=rows * n)).reshape(rows, n)
 
 
 @dataclass(frozen=True)
@@ -373,8 +435,10 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
     value is replaced by the value just before that jump; everywhere else the
     path is unchanged.  When no jump time sits on a grid point (the usual case
     for sampled jumps) the result shares the input's read-only values instead
-    of copying them.  Continuous ensembles and ensembles already flagged as
-    left-limit representatives are returned as-is (the map is idempotent).
+    of copying them and keeps the driver it records; otherwise it records no
+    driver, since its values are no longer the driver's paths.  Continuous
+    ensembles and ensembles already flagged as left-limit representatives are
+    returned as-is (the map is idempotent).
     """
     if ensemble.grid_predictable:
         return ensemble
@@ -389,11 +453,11 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
     idx = np.searchsorted(pts, times)
     hit = idx < pts.size
     hit[hit] = pts[idx[hit]] == times[hit]
-    values = ensemble.values
-    if hit.any():
-        # a path's jump times increase strictly, so no (row, index) repeats
-        rows = np.repeat(np.arange(ensemble.n_paths), [rec.count for rec in ensemble.jumps])
-        sizes = np.concatenate([rec.sizes for rec in ensemble.jumps])
-        values = values.copy()
-        values[rows[hit], idx[hit], :] -= sizes[hit, None]
-    return replace(ensemble, values=values, grid_predictable=True)
+    if not hit.any():
+        return replace(ensemble, grid_predictable=True)
+    # a path's jump times increase strictly, so no (row, index) repeats
+    rows = np.repeat(np.arange(ensemble.n_paths), [rec.count for rec in ensemble.jumps])
+    sizes = np.concatenate([rec.sizes for rec in ensemble.jumps])
+    values = ensemble.values.copy()
+    values[rows[hit], idx[hit], :] -= sizes[hit, None]
+    return replace(ensemble, values=values, grid_predictable=True, spec=None)

@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levyint as li
-from levyint.drivers import reconstruction_residual
-from levyint.errors import ConsistencyError, ParameterError
+from levyint import drivers
+from levyint.drivers import reconstruction_residual, reject_coincident_jumps
+from levyint.errors import ConsistencyError, NumericError, ParameterError
 
 
 def _se_of_mean(x):
@@ -207,6 +210,152 @@ class TestDeterminism:
                 assert np.array_equal(a.times, b.times) and np.array_equal(a.sizes, b.sizes)
 
 
+def _reference_jump_values(rec, points):
+    """A record's grid values formed on its own, as a per-path fill did."""
+    cum = np.concatenate(([0.0], np.cumsum(rec.sizes)))
+    return cum[np.searchsorted(rec.times, points, side="right")]
+
+
+def _reference_brownian(spec, grid, n_paths, seed, path_offset):
+    """Brownian paths drawn and summed one path at a time."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    out = np.empty((n_paths, grid.n_points))
+    for row, rng in zip(out, drivers._path_rngs(key, path_offset, n_paths)):
+        row[0] = 0.0
+        np.cumsum(rng.standard_normal(grid.n_intervals) * (spec.volatility * np.sqrt(grid.dt)), out=row[1:])
+    return out + spec.drift * grid.points
+
+
+_grids = st.one_of(
+    st.builds(li.TimeGrid.uniform, st.sampled_from([0.5, 1.0, 3.0]), st.integers(1, 40)),
+    st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=30, unique=True).map(
+        lambda ts: li.TimeGrid(np.concatenate(([0.0], np.sort(ts))))),
+)
+_rates = st.sampled_from([0.01, 0.5, 2.0, 40.0])
+_jump_specs = st.one_of(
+    st.builds(li.CompensatedPoisson, rate=_rates, drift=st.sampled_from([0.0, -0.0, 0.7])),
+    st.builds(li.CompoundPoisson, rate=_rates,
+              jump_law=st.sampled_from([li.TwoPointJumps(), li.ExponentialJumps(rate=0.5),
+                                        li.NormalJumps(loc=-0.3, scale=1.2),
+                                        li.NormalJumps(loc=-0.0, scale=0.0)]),
+              compensated=st.booleans(), drift=st.sampled_from([0.0, -0.0, 0.7])),
+)
+
+
+class TestBlockFill:
+    """Grid values filled in row blocks equal each path's values formed on
+    its own, bit for bit, at any block size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_jump_specs, grid=_grids, n_paths=st.integers(1, 600), offset=st.integers(0, 300),
+           fill_rows=st.sampled_from([1, 2, 7, 256]))
+    def test_jump_values_are_each_records_values(self, spec, grid, n_paths, offset, fill_rows):
+        old = drivers._FILL_ROWS
+        try:
+            drivers._FILL_ROWS = fill_rows
+            ens = li.simulate_paths(spec, grid, n_paths, 9, path_offset=offset)
+        finally:
+            drivers._FILL_ROWS = old
+        drift = drivers._path_drift(spec) * grid.points
+        for row, rec in zip(ens.values[:, :, 0], ens.jumps, strict=True):
+            want = _reference_jump_values(rec, grid.points) + drift
+            assert np.array_equal(row, want) and (np.signbit(row) == np.signbit(want)).all()
+            assert np.array_equal(rec.values_at(grid.points) + drift, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid=_grids, n_paths=st.integers(1, 600), offset=st.integers(0, 300),
+           fill_rows=st.sampled_from([1, 2, 7, 256]),
+           spec=st.builds(li.Brownian, volatility=st.sampled_from([0.0, 1.5]),
+                          drift=st.sampled_from([0.0, -0.4])))
+    def test_brownian_values_are_each_paths_values(self, grid, n_paths, offset, fill_rows, spec):
+        old = drivers._FILL_ROWS
+        try:
+            drivers._FILL_ROWS = fill_rows
+            ens = li.simulate_paths(spec, grid, n_paths, 9, path_offset=offset)
+        finally:
+            drivers._FILL_ROWS = old
+        want = _reference_brownian(spec, grid, n_paths, 9, offset)
+        assert np.array_equal(ens.values[:, :, 0], want)
+        assert (np.signbit(ens.values[:, :, 0]) == np.signbit(want)).all()
+
+    def test_records_are_read_only_views_of_shared_arrays(self, grid100):
+        spec = li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(loc=0.3, scale=0.5))
+        ens = li.simulate_paths(spec, grid100, 300, 6)
+        for rec in ens.jumps:
+            assert not rec.times.flags.writeable and not rec.sizes.flags.writeable
+            for a in (rec.times, rec.sizes):
+                with pytest.raises(ValueError):
+                    a[:1] = 0.0
+        full = [rec for rec in ens.jumps if rec.count]
+        assert np.shares_memory(full[0].times, full[-1].times.base)
+        assert np.shares_memory(full[0].sizes, full[-1].sizes.base)
+
+    def test_negative_zero_sizes_keep_their_sign(self, grid100):
+        # sizes are -0.0 + 0.0 * z: -0.0 or 0.0 by the sign of z.  Summing
+        # 0.0 + -0.0 would lose a sign the path's own cumsum keeps.
+        spec = li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(loc=-0.0, scale=0.0),
+                                  compensated=False, drift=-0.0)
+        ens = li.simulate_paths(spec, grid100, 50, 6)
+        sizes = np.concatenate([rec.sizes for rec in ens.jumps])
+        assert np.signbit(sizes).any() and not np.signbit(sizes).all()
+        for rec, row in zip(ens.jumps, ens.values[:, :, 0]):
+            want = _reference_jump_values(rec, grid100.points)
+            assert (np.signbit(rec.values_at(grid100.points)) == np.signbit(want)).all()
+            assert (np.signbit(row) == np.signbit(want + -0.0 * grid100.points)).all()
+        first_negative = next(rec for rec in ens.jumps if np.signbit(rec.sizes[0]))
+        assert np.signbit(first_negative.values_at(first_negative.times[:1])[0])
+
+    def test_paths_without_jumps(self, grid100):
+        ens = li.simulate_paths(li.CompensatedPoisson(rate=1e-6), grid100, 5, 6)
+        assert all(rec.count == 0 for rec in ens.jumps)
+        assert np.array_equal(ens.values[:, :, 0], np.broadcast_to(-1e-6 * grid100.points, (5, 101)))
+
+    def test_no_record_is_built_or_evaluated_per_path(self, monkeypatch, grid100):
+        def per_path(*args, **kwargs):
+            raise AssertionError("called once per path")
+
+        monkeypatch.setattr(li.JumpRecord, "__post_init__", per_path)
+        monkeypatch.setattr(li.JumpRecord, "values_at", per_path)
+        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 300, 6)
+        assert reconstruction_residual(li.CompensatedPoisson(rate=2.0), ens) == 0.0
+
+    @pytest.mark.parametrize("spec", [li.Brownian(volatility=1e308), li.CompensatedPoisson(drift=1e308)],
+                             ids=["brownian", "jump"])
+    def test_non_finite_values_rejected(self, spec):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            li.simulate_paths(spec, li.TimeGrid.uniform(10.0, 10), 300, 6)
+
+    def test_values_at_counts_a_jump_at_its_time(self):
+        rec = li.JumpRecord(times=np.array([0.2, 0.6]), sizes=np.array([1.0, 2.0]))
+        assert rec.values_at(np.array([0.0, 0.2, 0.2, 0.5, 0.6, 0.9])).tolist() == [0, 1, 1, 1, 3, 3]
+        assert rec.values_at(np.array([0.9, 0.1])).tolist() == [3.0, 0.0]
+        assert rec.values_at(np.array([])).shape == (0,)
+
+
+class TestCoincidentJumps:
+    def _ensemble(self, *records):
+        grid = li.TimeGrid.uniform(1.0, 4)
+        values = np.stack([rec.values_at(grid.points) for rec in records])
+        return li.PathEnsemble(values, grid, adapted=True, jumps=records)
+
+    def test_equal_times_on_two_paths_pass(self):
+        # path 0 ends at 0.5 where path 1 starts, and an empty path between
+        ens = self._ensemble(li.JumpRecord(times=np.array([0.2, 0.5]), sizes=np.ones(2)),
+                             li.JumpRecord(times=np.array([]), sizes=np.array([])),
+                             li.JumpRecord(times=np.array([0.5, 0.7]), sizes=np.ones(2)))
+        reject_coincident_jumps(ens)
+
+    @pytest.mark.parametrize("times", [[0.5, 0.5], [0.5, np.nextafter(0.5, 1.0)]],
+                             ids=["equal", "below_separation"])
+    def test_close_times_on_one_path_raise(self, times):
+        # equal times only reach an ensemble through the shared-array records
+        close = li.JumpRecord._view(np.array([0.1, *times]), np.ones(3))
+        ens = self._ensemble(li.JumpRecord(times=np.array([0.3]), sizes=np.ones(1)), close,
+                             li.JumpRecord(times=np.array([]), sizes=np.array([])))
+        with pytest.raises(NumericError):
+            reject_coincident_jumps(ens)
+
+
 def _update(h, ens):
     h.update(ens.values.tobytes())
     for rec in ens.jumps or ():
@@ -216,8 +365,9 @@ def _update(h, ens):
 
 class TestGoldenDigests:
     """sha256 of simulated values and jump records per driver kind, recorded
-    before jump records and grid values shared one helper; a change here
-    means the simulated numbers changed."""
+    before jump records and grid values shared one helper (the
+    ``test_simulated_blocks`` cases: before fills ran in row blocks); a
+    change here means the simulated numbers changed."""
 
     @pytest.mark.parametrize(
         "spec, expect",
@@ -265,3 +415,45 @@ class TestGoldenDigests:
         _update(h, hit)
         h.update(ll.values.tobytes())
         assert h.hexdigest() == "cf75a9fd73c520099db32eb68125e660d69214ffbf58fd02bf0d4a93382a3265"
+
+    _SQUARED = li.TimeGrid(np.linspace(0.0, 1.0, 17) ** 2)
+    _UNIFORM = li.TimeGrid.uniform(1.0, 16)
+
+    @pytest.mark.parametrize(
+        "runs, expect",
+        [
+            # 769 paths: several 256-row fill blocks, then one lone row
+            ([(li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps()), _UNIFORM, 769, 0)],
+             "06ac219e27e570b2b4c763780fdea1bb67aaa0ed4c098fbefab6e67c52aefe24"),
+            ([(li.Brownian(volatility=1.5, drift=0.5), _SQUARED, 769, 0)],
+             "6674e1c638b745a902f06a60dcdc70f68bc6a9afee7938cbe7b16618e41f26ea"),
+            # chunks whose starts and ends fall inside fill blocks
+            ([(li.CompensatedPoisson(rate=2.0, drift=0.3), _UNIFORM, 300, 100),
+              (li.CompensatedPoisson(rate=2.0, drift=0.3), _UNIFORM, 469, 400),
+              (li.Brownian(volatility=0.7), _UNIFORM, 300, 100),
+              (li.Brownian(volatility=0.7), _UNIFORM, 469, 400)],
+             "7bd7e6d6c2cf845fb44ef67daead9723bb8e6bb8aa118c64215a2ba03ab5576c"),
+            # most paths, and most blocks of paths, have no jump at all
+            ([(li.CompensatedPoisson(rate=0.02), _UNIFORM, 600, 0)],
+             "c9b75ef82b06be9abce2efca6ab20c047745b4091e0578f1e617e1b839f903a7"),
+            # many jumps per grid interval, summed in time order
+            ([(li.CompoundPoisson(rate=150.0, jump_law=li.ExponentialJumps(rate=0.5)), _UNIFORM, 300, 0)],
+             "a1b4671da390cc3cc14257677b4c0756c1b03d85ebfc5c66485e8687bd9a5cd7"),
+            ([(li.CompoundPoisson(rate=4.0, jump_law=li.NormalJumps(loc=-0.2, scale=1.3),
+                                  compensated=False, drift=-0.4), _SQUARED, 300, 0)],
+             "e799d19b325d232fdd1f3c7edfa32bd137e096743f29d13c522fb16926a55754"),
+            # -0.0 sizes and drift: the signs of zeros are part of the digest
+            ([(li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(loc=-0.0, scale=0.0),
+                                  compensated=False, drift=-0.0), _UNIFORM, 300, 0)],
+             "7e0c041455cbdc812b1e16b75b118a11451befdc902a15b280e103c93a89b1c4"),
+        ],
+        ids=["jump_blocks_and_a_lone_row", "brownian_blocks_and_a_lone_row", "unaligned_offsets",
+             "low_rate", "high_rate_exponential", "normal_uncompensated", "signed_zeros"],
+    )
+    @pytest.mark.parametrize("fill_rows", [256, 3])
+    def test_simulated_blocks(self, monkeypatch, fill_rows, runs, expect):
+        monkeypatch.setattr(drivers, "_FILL_ROWS", fill_rows)
+        h = hashlib.sha256()
+        for spec, grid, n, offset in runs:
+            _update(h, li.simulate_paths(spec, grid, n, 2026, path_offset=offset))
+        assert h.hexdigest() == expect

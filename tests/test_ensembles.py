@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levyint as li
+from levyint.drivers import reconstruction_residual
 from levyint.errors import (
     ConsistencyError,
     GridError,
@@ -167,6 +168,24 @@ class TestLeftLimit:
         ll = li.left_limit(e)
         assert np.shares_memory(ll.values, e.values)
         assert ll.grid_predictable and ll.jumps is e.jumps
+
+    def test_on_grid_jump_drops_the_driver(self, record_ensemble_factory):
+        # a compensated Poisson path with a jump at 0.5 on a 4-step grid: its
+        # left limit is no longer the driver's path
+        spec = li.CompensatedPoisson(rate=1.0)
+        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
+        grid = li.TimeGrid.uniform(1.0, 4)
+        x = record_ensemble_factory(grid, rec, drift=-1.0, spec=spec)
+        assert reconstruction_residual(spec, x) == 0.0
+        ll = li.left_limit(x)
+        assert ll.spec is None
+        assert reconstruction_residual(spec, ll) == 1.0
+
+    def test_unmoved_values_keep_the_driver(self, grid100):
+        spec = li.CompensatedPoisson(rate=2.0)
+        e = li.simulate_paths(spec, grid100, 50, 8)
+        ll = li.left_limit(e)
+        assert ll.spec == spec and ll.values is e.values
 
     def test_reconstruction_from_jump_record(self, record_ensemble_factory):
         base = li.TimeGrid.uniform(1.0, 8)
