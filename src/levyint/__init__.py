@@ -25,6 +25,7 @@ from .drivers import (
 )
 from .ensembles import (
     JumpRecord,
+    JumpTable,
     ModulusReport,
     PathEnsemble,
     TimeGrid,

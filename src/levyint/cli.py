@@ -153,9 +153,11 @@ def driver_to_config(spec: LevySpec) -> dict:
 # count far beyond that is a config error, not a failed allocation.
 _MAX_ARRAY_BYTES = 2**34
 _ARRAY_SHAPE = "paths x grid points x coordinates"
+# a jump-driven driver's table holds a time and a size per jump
+_JUMP_TABLE = "2 columns x paths x rate x horizon expected jumps"
 
 
-def _within_limit(count: int, where: str) -> int:
+def _within_limit(count: int | float, where: str) -> int | float:
     """A number of float64 values that fits the array limit."""
     if count * 8 > _MAX_ARRAY_BYTES:
         raise ConfigError(f"{where} = {count} float64 values exceed the "
@@ -340,6 +342,9 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
     if "spde" in cfg:
         parsed["problem"], parsed["tol"], parsed["max_iter"] = _spde_from_config(
             cfg["spde"], per_point * grid.n_points)
+    for spec in (parsed.get("driver"), *(parsed["problem"].drivers if "problem" in parsed else ())):
+        if isinstance(spec, (CompensatedPoisson, CompoundPoisson)):
+            _within_limit(2 * paths * spec.rate * grid.horizon, _JUMP_TABLE)
     return ExperimentConfig(
         experiment=kind,
         raw={**raw, "experiment": kind},  # canonical form: hash covers the kind

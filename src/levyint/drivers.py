@@ -16,11 +16,12 @@ identical (spec, grid, n_paths, seed), and ensembles simulated in chunks with
 
 Only the draws run path by path.  Everything after them runs over all paths
 in small row blocks: Brownian increments are scaled and summed a block at a
-time, and jump records become grid values through the one function that
-also serves ``JumpRecord.values_at``.  The jump records of an ensemble are
-read-only views of two shared arrays, one of times and one of sizes.  Each
-path's numbers are formed by the same operations in the same order as a
-path on its own, so output does not depend on the block size.
+time, and jumps become grid values through the one function that also
+serves ``JumpRecord.values_at``.  A jump-driven ensemble keeps its jumps as
+one read-only ``JumpTable``: an array of times, one of sizes and the bounds
+of each path's run.  Each path's numbers are formed by the same operations
+in the same order as a path on its own, so output does not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -31,17 +32,28 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import (JumpRecord, PathEnsemble, TimeGrid, _jump_arrays, _jump_values, _pairs_within,
-                        _readonly)
+from .ensembles import JumpTable, PathEnsemble, TimeGrid, _jump_values, _rows
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
 def _check_finite(params) -> None:
-    """Reject a spec or jump law whose float parameters are not all finite."""
+    """Reject a spec or jump law whose float parameters, or the moments and
+    drift rates derived from them, are not all finite."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type == "float" and not np.isfinite(value):
             raise ParameterError(f"{type(params).__name__}.{f.name} must be finite, got {value}")
+    derived = ({"mean": params.mean, "second moment": params.second_moment} if isinstance(params, JumpLaw)
+               else {"bracket rate": params.bracket_rate,
+                     "drift rate": lambda: (params.martingale_drift, _path_drift(params))})
+    for name, term in derived.items():
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(term()).all()
+        except ArithmeticError:  # a square that overflows, or underflows and then divides
+            finite = False
+        if not finite:
+            raise ParameterError(f"{params!r}: its {name} is not finite")
 
 
 class JumpLaw(abc.ABC):
@@ -82,9 +94,9 @@ class ExponentialJumps(JumpLaw):
     rate: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
         if self.rate <= 0:
-            raise ParameterError(f"exponential jump rate must be positive, got {self.rate}")
+            raise ParameterError(f"ExponentialJumps.rate must be positive, got {self.rate}")
+        _check_finite(self)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -104,9 +116,9 @@ class NormalJumps(JumpLaw):
     scale: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
         if self.scale < 0:
-            raise ParameterError(f"jump scale must be nonnegative, got {self.scale}")
+            raise ParameterError(f"NormalJumps.scale must be nonnegative, got {self.scale}")
+        _check_finite(self)
 
     def mean(self) -> float:
         return self.loc
@@ -141,9 +153,9 @@ class Brownian(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
         if self.volatility < 0:
-            raise ParameterError(f"volatility must be nonnegative, got {self.volatility}")
+            raise ParameterError(f"Brownian.volatility must be nonnegative, got {self.volatility}")
+        _check_finite(self)
 
     def bracket_rate(self) -> float:
         return self.volatility**2
@@ -161,9 +173,9 @@ class CompensatedPoisson(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
         if self.rate <= 0:
-            raise ParameterError(f"intensity must be positive, got {self.rate}")
+            raise ParameterError(f"{type(self).__name__}.rate must be positive, got {self.rate}")
+        _check_finite(self)
 
     def bracket_rate(self) -> float:
         return self.rate
@@ -188,11 +200,9 @@ class CompoundPoisson(LevySpec):
     drift: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
         if self.rate <= 0:
-            raise ParameterError(f"intensity must be positive, got {self.rate}")
-        if not np.isfinite(self.jump_law.second_moment()):
-            raise ParameterError("jump law must have a finite second moment")
+            raise ParameterError(f"{type(self).__name__}.rate must be positive, got {self.rate}")
+        _check_finite(self)
 
     def bracket_rate(self) -> float:
         return self.rate * self.jump_law.second_moment()
@@ -271,15 +281,15 @@ def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, rngs) -> 
 
 
 def _path_drift(spec: LevySpec) -> float:
-    """Rate d of a jump-driven path X_t = (sum of jumps up to t) + d*t."""
+    """Rate d of a simulated path X_t = (Brownian noise or sum of jumps up to t) + d*t."""
     if isinstance(spec, CompensatedPoisson):
         return spec.drift - spec.rate
     if isinstance(spec, CompoundPoisson):
         return spec.drift - (spec.rate * spec.jump_law.mean() if spec.compensated else 0.0)
-    raise ConsistencyError(f"{type(spec).__name__} is not a jump-driven spec")
+    return spec.drift
 
 
-def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> tuple[JumpRecord, ...]:
+def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> JumpTable:
     compound = isinstance(spec, CompoundPoisson)
     times, sizes = [], []
     for rng in rngs:
@@ -287,18 +297,14 @@ def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> tupl
         times.append(t)
         if compound:
             sizes.append(spec.jump_law.sample(rng, t.size))
-    bounds = np.zeros(len(times) + 1, dtype=np.intp)
-    np.cumsum([t.size for t in times], out=bounds[1:])
-    # read-only before slicing: a view of a writable base stays writable
-    times = _readonly(np.concatenate(times))
-    sizes = _readonly(np.concatenate(sizes) if compound else np.ones(times.size))
-    if not (times[1:] > times[:-1])[_pairs_within(bounds)].all():
-        raise ConsistencyError("jump times must be strictly increasing")
+    bounds = np.cumsum([0, *(t.size for t in times)])
+    jumps = JumpTable(np.concatenate(times), np.concatenate(sizes) if compound else np.ones(bounds[-1]),
+                      bounds)
     drift = _path_drift(spec) * grid.points
     for a, block in _row_blocks(values):
-        np.add(_jump_values(grid.points, times, sizes, bounds[a:a + len(block) + 1]), drift, out=block)
-    ends = bounds.tolist()
-    return tuple(JumpRecord._view(times[a:b], sizes[a:b]) for a, b in zip(ends[:-1], ends[1:]))
+        np.add(_jump_values(grid.points, jumps.times, jumps.sizes, jumps.bounds[a:a + len(block) + 1]),
+               drift, out=block)
+    return jumps
 
 
 def simulate_paths(
@@ -314,10 +320,9 @@ def simulate_paths(
     Parameters
     ----------
     spec:
-        Driver description; jump-driven specs also produce exact per-path
-        jump records (times and sizes, read-only views of two arrays shared
-        by the ensemble), so Stieltjes sums can be formed without
-        discretization error.
+        Driver description; jump-driven specs also produce the exact jumps
+        of every path (one ``JumpTable`` of times and sizes), so Stieltjes
+        sums can be formed without discretization error.
     grid:
         Sampling times; values follow the right-continuous convention at
         jump times that fall exactly on grid points.
@@ -391,12 +396,11 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
     _check_driver(spec, ensemble)
     if ensemble.jumps is None:
         raise ConsistencyError("reconstruction needs jump records")
-    pts = ensemble.grid.points
+    pts, jumps = ensemble.grid.points, ensemble.jumps
     drift = _path_drift(spec) * pts
-    times, sizes, bounds = _jump_arrays(ensemble.jumps)
     worst = 0.0
     for a in range(0, ensemble.n_paths, _FILL_ROWS):
-        rebuilt = _jump_values(pts, times, sizes, bounds[a:a + _FILL_ROWS + 1]) + drift
+        rebuilt = _jump_values(pts, jumps.times, jumps.sizes, jumps.bounds[a:a + _FILL_ROWS + 1]) + drift
         worst = max(worst, float(np.max(np.abs(rebuilt - ensemble.values[a:a + _FILL_ROWS, :, 0]))))
     return worst
 
@@ -410,6 +414,6 @@ def reject_coincident_jumps(ensemble: PathEnsemble) -> None:
     """Raise if two consecutive jump times of a path are closer than the separation floor."""
     if ensemble.jumps is None:
         raise ConsistencyError("ensemble carries no jump records")
-    times, _, bounds = _jump_arrays(ensemble.jumps)
-    if (np.diff(times)[_pairs_within(bounds)] < _JUMP_SEPARATION).any():
+    rows = _rows(ensemble.jumps.bounds)
+    if (np.diff(ensemble.jumps.times) < _JUMP_SEPARATION)[rows[1:] == rows[:-1]].any():
         raise NumericError("coincident jump times sampled; rerun with a different seed")

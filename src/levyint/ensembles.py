@@ -128,15 +128,6 @@ class JumpRecord:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "sizes", s)
 
-    @classmethod
-    def _view(cls, times: np.ndarray, sizes: np.ndarray) -> "JumpRecord":
-        """Record over read-only float64 views whose checks the caller made
-        for all records at once; skips ``__post_init__``."""
-        rec = object.__new__(cls)
-        object.__setattr__(rec, "times", times)
-        object.__setattr__(rec, "sizes", sizes)
-        return rec
-
     @property
     def count(self) -> int:
         return int(self.times.size)
@@ -146,22 +137,9 @@ class JumpRecord:
         return _jump_values(points, self.times, self.sizes, (0, self.times.size))[0]
 
 
-def _jump_arrays(jumps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every record's times and sizes end to end, and the bounds of the records'
-    runs: record r is ``[bounds[r]:bounds[r + 1]]``."""
-    bounds = np.zeros(len(jumps) + 1, dtype=np.intp)
-    np.cumsum([rec.count for rec in jumps], out=bounds[1:])
-    return (np.concatenate([rec.times for rec in jumps]),
-            np.concatenate([rec.sizes for rec in jumps]), bounds)
-
-
-def _pairs_within(bounds: np.ndarray) -> np.ndarray:
-    """Mask of the adjacent pairs (k, k + 1) of concatenated records that lie
-    in one record, for arrays laid out by ``bounds`` from 0."""
-    inside = np.ones(max(int(bounds[-1]) - 1, 0), dtype=bool)
-    cuts = bounds[1:-1]
-    inside[cuts[(cuts > 0) & (cuts < bounds[-1])] - 1] = False
-    return inside
+def _rows(bounds: np.ndarray) -> np.ndarray:
+    """The record of each jump of records laid out by ``bounds``."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
 
 def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
@@ -184,7 +162,7 @@ def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
         return cum[np.searchsorted(times, points, side="right")][None]
     n = points.size
     counts = np.diff(bounds)
-    row = np.repeat(np.arange(rows), counts)
+    row = _rows(bounds)
     col = np.arange(times.size) - (np.repeat(bounds[:-1], counts) - lo)
     cum = np.zeros((rows, int(counts.max(initial=0))))
     cum[row, col] = sizes
@@ -198,6 +176,58 @@ def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
     starts = np.repeat(np.arange(rows) * n, counts + 1)
     starts[at_jump] += np.searchsorted(points, times, side="left")
     return np.repeat(runs, np.diff(starts, append=rows * n)).reshape(rows, n)
+
+
+@dataclass(frozen=True, eq=False)
+class JumpTable:
+    """Exact jump times and sizes of every path, end to end and read-only.
+
+    Path r's jumps are ``times[bounds[r]:bounds[r + 1]]``, strictly
+    increasing, with the same slice of ``sizes``.  Like a tuple of records,
+    the table has a length, a path's index gives its :class:`JumpRecord`
+    (views of the arrays), a slice gives the table of those paths, and
+    iteration gives every path's record.
+    """
+
+    times: np.ndarray
+    sizes: np.ndarray
+    bounds: np.ndarray
+
+    def __post_init__(self) -> None:
+        t = _readonly(np.asarray(self.times, dtype=np.float64).ravel())
+        s = _readonly(np.asarray(self.sizes, dtype=np.float64).ravel())
+        b = np.array(self.bounds, dtype=np.intp).ravel()
+        b.flags.writeable = False
+        if b.size < 1 or b[0] != 0 or (np.diff(b) < 0).any() or not b[-1] == t.size == s.size:
+            raise ConsistencyError("jump bounds must rise from 0 to the number of jump times and sizes")
+        r = _rows(b)
+        if not (t[1:] > t[:-1])[r[1:] == r[:-1]].all():
+            raise ConsistencyError("jump times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "sizes", s)
+        object.__setattr__(self, "bounds", b)
+
+    @classmethod
+    def of(cls, records) -> "JumpTable":
+        """The table of a sequence of records, path r being ``records[r]``."""
+        bounds = np.cumsum([0, *(rec.count for rec in records)])
+        return cls(np.concatenate([np.empty(0), *(rec.times for rec in records)]),
+                   np.concatenate([np.empty(0), *(rec.sizes for rec in records)]), bounds)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, key):
+        # an index past the end raises IndexError, which also ends iteration
+        paths = range(len(self))[key]
+        if isinstance(paths, int):
+            a, b = self.bounds[paths], self.bounds[paths + 1]
+            return JumpRecord(self.times[a:b], self.sizes[a:b])
+        if paths.step != 1:
+            return JumpTable.of([self[r] for r in paths])
+        start, stop = paths.start, max(paths.start, paths.stop)
+        lo, hi = self.bounds[start], self.bounds[stop]
+        return JumpTable(self.times[lo:hi], self.sizes[lo:hi], self.bounds[start:stop + 1] - lo)
 
 
 @dataclass(frozen=True)
@@ -215,7 +245,9 @@ class PathEnsemble:
     ``grid_predictable`` marks left-limit representatives.  ``spec`` is the
     driver whose paths the values are (a martingale part records the
     martingale driver; None for any other ensemble); functions given a driver
-    beside its ensemble check it.
+    beside its ensemble check it.  ``jumps`` holds the exact jumps of every
+    path as one :class:`JumpTable`; a sequence of one record per path is
+    tabled once, on construction.
     """
 
     values: np.ndarray
@@ -223,7 +255,7 @@ class PathEnsemble:
     adapted: bool = False
     continuous: bool = False
     grid_predictable: bool = False
-    jumps: tuple[JumpRecord, ...] | None = None
+    jumps: JumpTable | None = None
     spec: LevySpec | None = None
 
     def __post_init__(self) -> None:
@@ -239,8 +271,11 @@ class PathEnsemble:
                 f"values have {v.shape[1]} time slots, grid has {self.grid.n_points}"
             )
         object.__setattr__(self, "values", _readonly(v))
-        if self.jumps is not None and len(self.jumps) != v.shape[0]:
-            raise ConsistencyError("need one JumpRecord per path")
+        if self.jumps is not None:
+            if len(self.jumps) != v.shape[0]:
+                raise ConsistencyError("need one JumpRecord per path")
+            if not isinstance(self.jumps, JumpTable):
+                object.__setattr__(self, "jumps", JumpTable.of(self.jumps))
 
     @property
     def n_paths(self) -> int:
@@ -448,16 +483,14 @@ def left_limit(ensemble: PathEnsemble) -> PathEnsemble:
         raise MissingJumpDataError(
             "discontinuous ensemble without jump records has no computable left limit"
         )
-    pts = ensemble.grid.points
-    times = np.concatenate([rec.times for rec in ensemble.jumps])
-    idx = np.searchsorted(pts, times)
+    pts, jumps = ensemble.grid.points, ensemble.jumps
+    idx = np.searchsorted(pts, jumps.times)
     hit = idx < pts.size
-    hit[hit] = pts[idx[hit]] == times[hit]
+    hit[hit] = pts[idx[hit]] == jumps.times[hit]
     if not hit.any():
         return replace(ensemble, grid_predictable=True)
     # a path's jump times increase strictly, so no (row, index) repeats
-    rows = np.repeat(np.arange(ensemble.n_paths), [rec.count for rec in ensemble.jumps])
-    sizes = np.concatenate([rec.sizes for rec in ensemble.jumps])
+    rows = _rows(jumps.bounds)
     values = ensemble.values.copy()
-    values[rows[hit], idx[hit], :] -= sizes[hit, None]
+    values[rows[hit], idx[hit], :] -= jumps.sizes[hit, None]
     return replace(ensemble, values=values, grid_predictable=True, spec=None)

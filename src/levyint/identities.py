@@ -17,8 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from .drivers import reject_coincident_jumps, simulate_paths, standard_poisson
-from .ensembles import JumpRecord, TimeGrid
+from .drivers import _FILL_ROWS, reject_coincident_jumps, simulate_paths, standard_poisson
+from .ensembles import JumpRecord, JumpTable, TimeGrid, _jump_values, _rows
 from .errors import DomainError, InsufficientDataError, ParameterError
 from .riemann import MeshStudy, _mesh_study, uniform_partition
 from . import drivers
@@ -71,13 +71,38 @@ def stieltjes_integral(
     return float(np.dot(values, sizes))
 
 
-def _left_sum_on_jump_partition(
-    base_points: np.ndarray, jumps: JumpRecord, horizon: float
-) -> float:
-    """Left-endpoint self-integral on the base grid augmented by jump times."""
-    pts = np.union1d(base_points, jumps.times[jumps.times <= horizon])
-    x = jumps.values_at(pts)
-    return float(np.dot(x[:-1], np.diff(x)))
+def _identity_sums(points: np.ndarray, jumps: JumpTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's left-endpoint self-sum on its jump-augmented partition
+    (the base ``points`` and its jump times, repeats removed) and its
+    current-value Stieltjes self-sum.
+
+    Jump times lie in (0, points[-1]].  The sizes are integers, so every
+    value, product and partial sum is an integer below 2**53: the sums are
+    exact, whatever the order of their terms.
+    """
+    t, s, bounds = jumps.times, jumps.sizes, jumps.bounds
+    rows, m = len(jumps), points.size
+    counts, row = np.diff(bounds), _rows(bounds)
+    # a path's value at each of its jumps, and at its end
+    cum = np.concatenate(([0.0], np.cumsum(s)))
+    post = cum[1:] - np.repeat(cum[bounds[:-1]], counts)
+    # Row r's partition: every base point, and each of its jump times that no
+    # base point repeats (its own points).  With q[k] the first base point at
+    # or after jump k, base point j sits after j base points and the own
+    # points with q <= j; own point k after q[k] base points and the row's
+    # earlier own points.
+    q = np.searchsorted(points, t)
+    own = points[q] != t
+    r_own, q_own = row[own], q[own]
+    n_own = np.bincount(r_own, minlength=rows)
+    earlier = np.arange(r_own.size) - np.repeat(np.cumsum(n_own) - n_own, n_own)
+    shift = np.bincount(r_own * m + q_own, minlength=rows * m).reshape(rows, m).cumsum(axis=1)
+    # each row's values at its partition points, held at its end value after them
+    x = np.repeat((cum[bounds[1:]] - cum[bounds[:-1]])[:, None], m + n_own.max(initial=0), axis=1)
+    x[np.arange(rows)[:, None], np.arange(m) + shift] = _jump_values(points, t, s, bounds)
+    x[r_own, q_own + earlier] = post[own]
+    left = (x[:, :-1] * np.diff(x, axis=1)).sum(axis=1)
+    return left, np.bincount(row, weights=post * s, minlength=rows)
 
 
 def poisson_identity_check(
@@ -93,26 +118,23 @@ def poisson_identity_check(
     For each path: (a) the left-endpoint sum on a jump-separating partition
     equals (X_T^2 - X_T)/2; (b) the current-value Stieltjes integral equals
     (X_T^2 + X_T)/2; (c) their difference equals X_T.  All three must hold
-    at the exactness tolerance.
+    at the exactness tolerance.  The sums are formed for all paths at once,
+    a block of rows at a time.
     """
     spec = standard_poisson(rate)
     grid = TimeGrid.uniform(horizon, base_steps)
     ens = simulate_paths(spec, grid, n_paths, seed)
     reject_coincident_jumps(ens)
 
-    k = np.array([float(np.sum(rec.times <= horizon)) for rec in ens.jumps])
-    left_target = 0.5 * (k * k - k)
-    current_target = 0.5 * (k * k + k)
-
-    left_vals = np.array(
-        [_left_sum_on_jump_partition(grid.points, rec, horizon) for rec in ens.jumps]
-    )
-    st_vals = np.array(
-        [stieltjes_integral(rec, horizon, "current_value") for rec in ens.jumps]
-    )
+    left_vals, st_vals = np.empty(n_paths), np.empty(n_paths)
+    for a in range(0, n_paths, _FILL_ROWS):
+        rows = slice(a, a + _FILL_ROWS)
+        left_vals[rows], st_vals[rows] = _identity_sums(grid.points, ens.jumps[rows])
+    # every jump lies in (0, horizon], so X_T is the path's jump count
+    k = np.diff(ens.jumps.bounds).astype(float)
     return IdentityReport(
-        left_sum_residuals=np.abs(left_vals - left_target),
-        stieltjes_residuals=np.abs(st_vals - current_target),
+        left_sum_residuals=np.abs(left_vals - 0.5 * (k * k - k)),
+        stieltjes_residuals=np.abs(st_vals - 0.5 * (k * k + k)),
         difference_residuals=np.abs((st_vals - left_vals) - k),
         left_sum_values=left_vals,
         stieltjes_values=st_vals,

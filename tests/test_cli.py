@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyint as li
-from levyint import cli
+from levyint import cli, drivers
 from levyint.cli import (
     EXPERIMENTS,
     driver_from_config,
@@ -596,7 +597,7 @@ _JSON_SCALARS = st.one_of(
     st.booleans(),
     st.integers(-1000, 1000),
     st.integers(-1000, 1000).map(lambda k: k / 8),
-    st.sampled_from([NAN, INF, -INF, -0.0, 1e-3, 1e300, -1e300, 2**70]),
+    st.sampled_from([NAN, INF, -INF, -0.0, 1e-3, 1e300, -1e300, 2**70, 1e200, -1e200, 1e-200, 5e-324]),
     st.text(max_size=8),
 )
 _JSON_VALUES = st.recursive(
@@ -635,3 +636,106 @@ class TestParseFuzz:
             parse_config(raw)
         except ToolkitError as exc:
             assert not isinstance(exc, NumericError)
+
+
+# magnitudes whose squares, reciprocals or products leave the float range
+_EXTREMES = [1e200, -1e200, 1e-200, -1e-200, 1e-310, -1e-310, 5e-324]
+
+
+def _extreme_drivers():
+    """Driver sections with one float field of a driver kind or jump law at an
+    extreme value, and the name of that field."""
+    for kind, make in cli._DRIVERS.items():
+        for name, p in inspect.signature(make).parameters.items():
+            if p.annotation == "float":
+                for value in _EXTREMES:
+                    yield {"kind": kind, name: value}, name
+    for law, make in cli._JUMP_LAWS.items():
+        for name, p in inspect.signature(make).parameters.items():
+            required = {n: 1.0 for n, q in inspect.signature(make).parameters.items() if q.default is q.empty}
+            for value in _EXTREMES:
+                yield {"kind": "compound_poisson", "jump_law": {"kind": law, **required, name: value}}, name
+
+
+class TestExtremeParameters:
+    """A driver whose derived moments leave the float range is refused by
+    name while parsing; one that is accepted has finite moments."""
+
+    @pytest.mark.parametrize("driver, name", list(_extreme_drivers()),
+                             ids=[json.dumps(d) for d, _ in _extreme_drivers()])
+    def test_refused_by_name_or_finite(self, driver, name):
+        try:
+            spec = parse_config({"experiment": "simulate", "paths": 8, "driver": driver}).driver
+        except ToolkitError as exc:
+            assert not isinstance(exc, NumericError)
+            assert not str(exc).startswith("malformed config") and name in str(exc)
+            return
+        terms = [spec.bracket_rate(), spec.martingale_drift]
+        if not isinstance(spec, li.Brownian):
+            terms.append(drivers._path_drift(spec))
+        if isinstance(spec, li.CompoundPoisson):
+            terms += [spec.jump_law.mean(), spec.jump_law.second_moment()]
+        assert np.isfinite(terms).all()
+
+    @pytest.mark.parametrize("driver, message", [
+        ({"kind": "compound_poisson", "jump_law": {"kind": "exponential", "rate": 1e-200}},
+         "ExponentialJumps(rate=1e-200): its second moment is not finite"),
+        ({"kind": "brownian", "volatility": 1e200},
+         "Brownian(volatility=1e+200, drift=0.0): its bracket rate is not finite"),
+        ({"kind": "compound_poisson", "jump_law": {"kind": "normal", "loc": 1e200, "scale": 1}},
+         "NormalJumps(loc=1e+200, scale=1.0): its second moment is not finite"),
+        ({"kind": "compensated_poisson", "rate": 1.7e308, "drift": -1.7e308},
+         "CompensatedPoisson(rate=1.7e+308, drift=-1.7e+308): its drift rate is not finite"),
+        # drift + rate * E[J] overflows, rate * E[J^2] does not
+        ({"kind": "compound_poisson", "rate": 1e308, "drift": 1.5e308, "compensated": False,
+          "jump_law": {"kind": "normal", "loc": 0.5, "scale": 0}}, "its drift rate is not finite"),
+    ], ids=["exponential_tiny_rate", "brownian_huge_volatility", "normal_huge_loc",
+            "path_drift", "uncompensated_drift"])
+    def test_cli_exits_2_naming_the_fields(self, tmp_path, capsys, monkeypatch, driver, message):
+        monkeypatch.setattr(cli, "simulate_paths", _no_simulation)
+        path = _write(tmp_path, "extreme.json", {"driver": driver, "out": str(tmp_path)})
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and message in err[0]
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a config past a limit started a simulation")
+
+
+class TestJumpLimit:
+    """The expected jumps of a jump-driven driver, a time and a size each,
+    must fit the array limit; parsing refuses a config past it."""
+
+    @pytest.mark.parametrize("kind, patch", [
+        ("simulate", {"driver": {"kind": "compensated_poisson", "rate": 1e12}}),
+        ("integrate", {"driver": {"kind": "compound_poisson", "rate": 1e9}, "paths": 10}),
+        ("isometry", {"driver": {"kind": "standard_poisson", "rate": 1e9}, "paths": 10}),
+        ("poisson-identity", {"rate": 1e12}),
+        ("converge", {"driver": {"kind": "compensated_poisson", "rate": 1e300}}),
+        ("spde", {"spde": {"heat_dim": 1, "sigmas": [
+            {"kind": "constant", "driver": {"kind": "brownian"}},
+            {"kind": "constant", "driver": {"kind": "compensated_poisson", "rate": 1e12}}]}}),
+        ("simulate", {"driver": {"kind": "compensated_poisson", "rate": 1e9},
+                      "grid": {"horizon": 100.0, "steps": 4}, "paths": 1}),
+    ], ids=["simulate", "integrate", "isometry", "poisson_identity", "converge", "spde_second_sigma",
+            "long_horizon"])
+    def test_past_the_limit_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, kind, patch):
+        monkeypatch.setattr(cli, "simulate_paths", _no_simulation)
+        monkeypatch.setattr(cli, "poisson_identity_check", _no_simulation)
+        monkeypatch.setattr(cli, "mild_solution_picard", _no_simulation)
+        cfg = {**_small_configs(tmp_path)[kind], **patch}
+        with pytest.raises(ConfigError, match="expected jumps"):
+            parse_config({**cfg, "experiment": kind})
+        assert main([kind, "--config", _write(tmp_path, "jumps.json", cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "paths x rate x horizon expected jumps" in err[0]
+
+    def test_at_the_limit_parses(self):
+        # 1000 paths x 1e6 jumps: 16e9 bytes of times and sizes, under 2**34
+        cfg = parse_config({"experiment": "simulate", "paths": 1000,
+                            "driver": {"kind": "compensated_poisson", "rate": 1e6}})
+        assert cfg.driver.rate == 1e6
+        with pytest.raises(ConfigError, match="expected jumps"):
+            parse_config({"experiment": "simulate", "paths": 1100,
+                          "driver": {"kind": "compensated_poisson", "rate": 1e6}})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levyint as li
+from levyint import drivers
 from levyint.drivers import reconstruction_residual
 from levyint.errors import (
     ConsistencyError,
@@ -263,6 +264,88 @@ class TestPathEnsemble:
         assert d.jumps is e.jumps
         # the new values are no driver's paths
         assert d.spec is None
+
+
+def _per_path_records(spec, grid, n_paths, seed, path_offset=0):
+    """Each path's jump record drawn and built on its own, as fills once did."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    records = []
+    for rng in drivers._path_rngs(key, path_offset, n_paths):
+        t = drivers._exact_jump_times(rng, spec.rate, grid.horizon)
+        sizes = spec.jump_law.sample(rng, t.size) if isinstance(spec, li.CompoundPoisson) else np.ones(t.size)
+        records.append(li.JumpRecord(times=t, sizes=sizes))
+    return records
+
+
+def _same_records(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(x.times, y.times) and np.array_equal(x.sizes, y.sizes) for x, y in zip(a, b))
+
+
+class TestJumpTable:
+    """An ensemble's jumps are one table that reads like a tuple of records."""
+
+    @pytest.mark.parametrize("spec", [li.CompensatedPoisson(rate=2.0),
+                                      li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(loc=0.3, scale=0.5))],
+                             ids=["unit", "normal"])
+    def test_index_slice_and_iteration_match_each_paths_record(self, grid100, spec):
+        ens = li.simulate_paths(spec, grid100, 300, 5, path_offset=40)
+        want = _per_path_records(spec, grid100, 300, 5, path_offset=40)
+        jumps = ens.jumps
+        assert isinstance(jumps, li.JumpTable) and len(jumps) == 300 and jumps
+        assert _same_records(list(jumps), want)
+        assert _same_records([jumps[i] for i in range(300)], want)
+        assert _same_records([jumps[-1]], want[-1:])
+        for rows in (slice(None), slice(17, 171), slice(290, 400), slice(-5, None), slice(3, 60, 7),
+                     slice(None, None, -1), slice(50, 50), slice(80, 20)):
+            part = jumps[rows]
+            assert isinstance(part, li.JumpTable) and _same_records(list(part), want[rows])
+        assert not jumps[50:50] and jumps[50:50].bounds.tolist() == [0]
+        with pytest.raises(IndexError):
+            jumps[300]
+        assert jumps.times.size == sum(rec.count for rec in jumps) == jumps.bounds[-1]
+
+    def test_arrays_are_read_only_and_records_are_views(self, grid100):
+        jumps = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 50, 5).jumps
+        for a in (jumps.times, jumps.sizes, jumps.bounds, jumps[3].times, jumps[7:9].sizes):
+            with pytest.raises(ValueError):
+                a[:1] = 0
+        rec = next(r for r in jumps if r.count)
+        assert np.shares_memory(rec.times, jumps.times) and np.shares_memory(rec.sizes, jumps.sizes)
+        assert np.shares_memory(jumps[10:20].times, jumps.times)
+
+    def test_hand_built_records_are_tabled_and_validated(self):
+        grid = li.TimeGrid.uniform(1.0, 4)
+        records = (li.JumpRecord(times=np.array([0.3, 0.5]), sizes=np.array([2.0, -1.0])),
+                   li.JumpRecord(times=np.array([]), sizes=np.array([])),
+                   li.JumpRecord(times=np.array([0.25]), sizes=np.array([1.5])))
+        values = np.stack([rec.values_at(grid.points) for rec in records])
+        e = li.PathEnsemble(values, grid, adapted=True, jumps=records)
+        assert isinstance(e.jumps, li.JumpTable)
+        assert e.jumps.bounds.tolist() == [0, 2, 2, 3]
+        assert e.jumps.times.tolist() == [0.3, 0.5, 0.25]
+        assert _same_records(list(e.jumps), records)
+        assert li.left_limit(e).jumps is e.jumps
+        with pytest.raises(ConsistencyError, match="one JumpRecord per path"):
+            li.PathEnsemble(values, grid, adapted=True, jumps=records[:2])
+
+    @pytest.mark.parametrize("times, sizes, bounds", [
+        ([0.1, 0.2], [1.0], [0, 2]),
+        ([0.1, 0.2], [1.0, 1.0], [1, 2]),
+        ([0.1, 0.2], [1.0, 1.0], [0, 1]),
+        ([0.1, 0.2], [1.0, 1.0], [0, 2, 1, 2]),
+        ([0.1, 0.2], [1.0, 1.0], []),
+        ([0.2, 0.1], [1.0, 1.0], [0, 2]),
+        ([0.2, 0.2], [1.0, 1.0], [0, 2]),
+    ], ids=["sizes", "first_bound", "last_bound", "falling_bounds", "no_bounds", "falling_times",
+            "equal_times"])
+    def test_malformed_table_rejected(self, times, sizes, bounds):
+        with pytest.raises(ConsistencyError):
+            li.JumpTable(np.array(times), np.array(sizes), np.array(bounds, dtype=np.intp))
+
+    def test_times_may_repeat_across_paths(self):
+        table = li.JumpTable(np.array([0.2, 0.5, 0.5, 0.7]), np.ones(4), np.array([0, 2, 2, 4]))
+        assert [rec.times.tolist() for rec in table] == [[0.2, 0.5], [], [0.5, 0.7]]
 
 
 def _reduction_outputs():
