@@ -386,6 +386,25 @@ def _ensemble_table(ens: PathEnsemble) -> tuple[tuple[str, ...], np.recarray]:
                   *ens.values.reshape(n * m, ens.dim).T)
 
 
+def _moment_table(ens: PathEnsemble) -> tuple[tuple[str, ...], np.recarray]:
+    """One row per grid point and mode: the mean over the paths and its SE,
+    the ddof=1 variance and its SE (that of the mean squared deviation).
+    Formed one grid point at a time, each copied out of the path-major
+    values once (reductions over the strided view take twice as long);
+    with one path the three spreads are nan."""
+    n, m, d = ens.values.shape
+    mean = np.empty((m, d))
+    spreads = np.full((3, m, d), np.nan)
+    for j in range(m):
+        x = np.ascontiguousarray(ens.values[:, j])
+        mean[j], se = _mean_se(x, axis=0)
+        if n > 1:
+            spreads[:, j] = se, np.var(x, axis=0, ddof=1), _mean_se((x - mean[j]) ** 2, axis=0)[1]
+    return _table(("t", "mode", "mean", "se_mean", "variance", "se_variance"),
+                  np.repeat(ens.grid.points, d), np.tile(np.arange(d), m),
+                  mean.ravel(), *spreads.reshape(3, m * d))
+
+
 def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
     ens = simulate_paths(spec, grid, cfg.paths, cfg.seed)
@@ -473,7 +492,7 @@ def _run_spde(cfg: ExperimentConfig) -> RunResult:
     checks = [("picard_converged", report.converged,
                {"iterations": report.iterations, "residual": report.residual})]
     picard = _table(("iteration", "distance"), np.arange(report.iterations), report.distances)
-    return RunResult(cfg, checks, *_ensemble_table(solution),
+    return RunResult(cfg, checks, *_moment_table(solution),
                      {"picard": {"distances": list(report.distances),
                                  "iterations": report.iterations,
                                  "converged": report.converged,

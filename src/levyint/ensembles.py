@@ -368,10 +368,13 @@ def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
         yield (sl, *blocks)
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single sample)."""
-    se = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
-    return float(np.mean(samples)), se
+def _mean_se(samples: np.ndarray, axis: int | None = None) -> tuple:
+    """Sample mean and its standard error (0 for a single sample): floats over
+    every sample, or arrays along ``axis``."""
+    n = samples.size if axis is None else samples.shape[axis]
+    mean = np.mean(samples, axis=axis)
+    se = np.std(samples, axis=axis, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return (float(mean), float(se)) if axis is None else (mean, se)
 
 
 def _z_score(diff, se):

@@ -3,6 +3,7 @@ import inspect
 import json
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +254,57 @@ class TestExperimentCoverage:
         json.loads(text, parse_constant=reject)
 
 
+def _spde_csv(tmp_path, cfg):
+    """Run ``spde`` on ``cfg``; its exit status and its main CSV as a header
+    and an array of the rows."""
+    status = main(["spde", "--config", _write(tmp_path, "spde.json", cfg)])
+    stem = f"spde-{parse_config({**cfg, 'experiment': 'spde'}).config_hash}"
+    header, *lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
+    return status, header, np.array([[float(c) for c in line.split(",")] for line in lines])
+
+
+class TestSpdeMomentTable:
+    """The main ``spde`` CSV holds one row per grid point and mode, with the
+    ensemble statistics of the mild solution there."""
+
+    @staticmethod
+    def _solution(cfg):
+        # the small config's problem, built from the public constructors
+        problem = li.SpdeProblem(operator=li.heat_operator(3), h0=[1.0, 0.0, 0.0],
+                                 sigmas=(li.constant_map(1.0),), sigma_lipschitz=(0.0,),
+                                 drivers=(li.Brownian(),))
+        grid = li.TimeGrid.uniform(cfg["grid"]["horizon"], cfg["grid"]["steps"])
+        return li.mild_solution_picard(problem, grid, cfg["paths"], cfg["seed"],
+                                       tol=cfg["spde"]["tol"], max_iter=cfg["spde"]["max_iter"])[0]
+
+    @pytest.mark.parametrize("paths", [64, 2000])
+    def test_rows_match_statistics_of_the_solution(self, tmp_path, paths):
+        cfg = {**_small_configs(tmp_path)["spde"], "paths": paths}
+        status, header, rows = _spde_csv(tmp_path, cfg)
+        assert status == 0
+        assert header == "t,mode,mean,se_mean,variance,se_variance"
+        x = self._solution(cfg).values
+        n, points, dim = x.shape
+        assert rows.shape == (points * dim, 6)
+        mean = x.mean(axis=0)
+        variance = x.var(axis=0, ddof=1)
+        se_variance = ((x - mean) ** 2).std(axis=0, ddof=1) / np.sqrt(n)
+        grid = li.TimeGrid.uniform(cfg["grid"]["horizon"], cfg["grid"]["steps"])
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(grid.points, dim))
+        np.testing.assert_array_equal(rows[:, 1], np.tile(np.arange(dim), points))
+        for column, expected in zip(rows[:, 2:].T, [mean, np.sqrt(variance / n), variance, se_variance]):
+            np.testing.assert_allclose(column, expected.ravel(), rtol=1e-12, atol=0)
+
+    def test_one_path_has_nan_spreads(self, tmp_path):
+        cfg = {**_small_configs(tmp_path)["spde"], "paths": 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, _, rows = _spde_csv(tmp_path, cfg)
+        assert status == 0
+        np.testing.assert_array_equal(rows[:, 2], self._solution(cfg).values[0].ravel())
+        assert np.isnan(rows[:, 3:]).all()
+
+
 def _artifact_digest(out_dir):
     """sha256 over every artifact's name and bytes, each manifest without its
     ``versions`` entry (the only host-dependent part)."""
@@ -271,8 +323,11 @@ class TestArtifactGoldens:
     """Digests of whole CLI runs, recorded when manifests came to list only
     the tolerances their experiment reads; every CSV was byte-identical to
     the runs before, and every manifest equal once its tolerances and
-    versions were dropped.  Float bits of ``np.exp`` may differ on other
-    hardware: a mismatch there means re-record, not a bug."""
+    versions were dropped.  The two ``spde`` digests were re-recorded when
+    the main ``spde`` CSV became the per-(t, mode) moment table; their
+    manifests and ``.picard.csv`` side tables stayed byte-identical.  Float
+    bits of ``np.exp`` may differ on other hardware: a mismatch there means
+    re-record, not a bug."""
 
     _GOLDEN = {
         "simulate": "37483bb3d433fe49a9b2f642f3d12bc1277b24d3c4e1dd939b95358253c6dbbf",
@@ -280,9 +335,9 @@ class TestArtifactGoldens:
         "isometry": "2388dc4aa6ec3438a575783ad7206e8c0f54cb293d35e665f401efb45fbaebfd",
         "poisson-identity": "08cb4e687c25e9eadd1ee98cc65aa746b512c350a0db43349c8726f31aac0ba7",
         "converge": "58b4e478c6a78706ce7c9dfe8df0b03ccf43a5a852f13a00f08eb1025fb95e0e",
-        "spde": "6ee76fc503ad697a7b9a87189e064d659e3db2fa0ed94ae107facd150ed1d69f",
+        "spde": "113e8d43780b9d3c1314dc8ae8b2062d908c13964572aad43469e6f17fb2fd39",
         "diagnostics": "03493dd8d03b4d2e89953d36c691a44c5784ed13a89dfbd850a3e7cb07ae4523",
-        "spde_eigenvalues": "61bde5140f1fae21c88f0e761bed4946de47f5f65430a66ab5e8dd803fc2a368",
+        "spde_eigenvalues": "b0b510c487b3f8dd792b6c8401546b8198f823f2b0b7039b8d819cda5a81d478",
     }
 
     @pytest.mark.parametrize("name", list(_GOLDEN))
@@ -327,18 +382,21 @@ class TestCsvWriter:
         assert path.read_text() == _row_rule_csv(columns, rows)
 
     def test_emission_memory_does_not_grow_with_the_rows(self, tmp_path):
-        # a writer that joins every line at once holds about 11 times the solution
-        cfg = parse_config({**_small_configs(tmp_path)["spde"], "experiment": "spde",
+        # simulate writes the one path table left: 2000 paths x 65 points of
+        # (path, t, value), as many bytes as a 2000 x 65 x 3 solution; a
+        # writer that joins every line at once holds about 8 times the table
+        cfg = parse_config({**_small_configs(tmp_path)["simulate"], "experiment": "simulate",
                             "paths": 2000, "grid": {"horizon": 1.0, "steps": 64}})
-        result = cli._RUNNERS["spde"](cfg)
-        solution_bytes = len(result.rows) * cfg.problem.dim * 8
+        result = cli._RUNNERS["simulate"](cfg)
+        table_bytes = result.rows.nbytes
+        assert table_bytes >= 2000 * 65 * 3 * 8
         tracemalloc.start()
         try:
             cli.emit_report(result)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < solution_bytes / 2
+        assert peak < table_bytes / 2
 
 
 class TestNoPassWithoutEvidence:
