@@ -37,7 +37,7 @@ from .drivers import (
     simulate_paths,
     standard_poisson,
 )
-from .ensembles import PathEnsemble, TimeGrid, _mean_se, _z_score, sup_l2_norm
+from .ensembles import PathEnsemble, TimeGrid, _mean_se, _moments, _z_score, sup_l2_norm
 from .errors import ConfigError, NumericError, ToolkitError
 from .identities import poisson_identity_check
 from .predictability import ito_isometry_check, predictable_version
@@ -378,48 +378,38 @@ def _table(columns: tuple[str, ...], *arrays) -> tuple[tuple[str, ...], np.recar
     return columns, np.rec.fromarrays(list(arrays), names=columns)
 
 
-def _ensemble_table(ens: PathEnsemble) -> tuple[tuple[str, ...], np.recarray]:
-    """One row (path, t, value components) per path and grid point."""
-    n, m = ens.n_paths, ens.n_points
-    return _table(("path", "t") + tuple(f"value_{i}" for i in range(ens.dim)),
-                  np.repeat(np.arange(n), m), np.tile(ens.grid.points, n),
-                  *ens.values.reshape(n * m, ens.dim).T)
+# Bytes of a block of grid points in the moment table.  No block holds a lone
+# point (numpy sums a lone column pairwise), so paths sum in row order.
+_MOMENT_BLOCK_BYTES = 2**22
 
 
 def _moment_table(ens: PathEnsemble) -> tuple[tuple[str, ...], np.recarray]:
-    """One row per grid point and mode: the mean over the paths and its SE,
-    the ddof=1 variance and its SE (that of the mean squared deviation).
-    Formed one grid point at a time, each copied out of the path-major
-    values once (reductions over the strided view take twice as long);
-    with one path the three spreads are nan."""
+    """One row per grid point and mode: ``_moments`` along the paths of each
+    block of points, copied out as paths x (points x modes); one path gives nan spreads."""
     n, m, d = ens.values.shape
-    mean = np.empty((m, d))
-    spreads = np.full((3, m, d), np.nan)
-    for j in range(m):
-        x = np.ascontiguousarray(ens.values[:, j])
-        mean[j], se = _mean_se(x, axis=0)
-        if n > 1:
-            spreads[:, j] = se, np.var(x, axis=0, ddof=1), _mean_se((x - mean[j]) ** 2, axis=0)[1]
+    stats = np.empty((4, m, d))
+    step = max(2, _MOMENT_BLOCK_BYTES // (8 * n * d))
+    for j in range(0, m - 1, step):
+        k = j + step if j + step < m - 1 else m  # a lone last point joins this block
+        stats[:, j:k] = np.reshape(_moments(ens.values[:, j:k].reshape(n, -1).copy()), (4, -1, d))
+    if n == 1:
+        stats[1:] = np.nan
     return _table(("t", "mode", "mean", "se_mean", "variance", "se_variance"),
-                  np.repeat(ens.grid.points, d), np.tile(np.arange(d), m),
-                  mean.ravel(), *spreads.reshape(3, m * d))
+                  np.repeat(ens.grid.points, d), np.tile(np.arange(d), m), *stats.reshape(4, -1))
 
 
 def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
     ens = simulate_paths(spec, grid, cfg.paths, cfg.seed)
     c = spec.bracket_rate()
-    m = martingale_part(spec, ens)
-    mt = m.values[:, -1, 0]
-    var = float(np.var(mt, ddof=1)) if cfg.paths > 1 else 0.0
-    # the variance of a variance needs three paths; with fewer the check fails
-    se = _mean_se((mt - mt.mean()) ** 2)[1] if cfg.paths > 2 else np.inf
+    var, se = map(float, _moments(martingale_part(spec, ens).values[:, -1, 0].copy())[2:])
+    se = se if cfg.paths > 2 else np.inf  # the SE of a variance needs three paths
     k = cfg.tolerances["se_multiplier"]
     checks = [
         ("terminal_variance_matches_bracket", cfg.paths > 2 and abs(var - c * grid.horizon) <= k * se,
          {"variance": var, "expected": c * grid.horizon, "se": se}),
     ]
-    return RunResult(cfg, checks, *_ensemble_table(ens),
+    return RunResult(cfg, checks, *_moment_table(ens),
                      {"bracket_rate": c, "sup_l2_norm": sup_l2_norm(ens)})
 
 

@@ -368,13 +368,23 @@ def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
         yield (sl, *blocks)
 
 
-def _mean_se(samples: np.ndarray, axis: int | None = None) -> tuple:
-    """Sample mean and its standard error (0 for a single sample): floats over
-    every sample, or arrays along ``axis``."""
-    n = samples.size if axis is None else samples.shape[axis]
-    mean = np.mean(samples, axis=axis)
-    se = np.std(samples, axis=axis, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
-    return (float(mean), float(se)) if axis is None else (mean, se)
+def _moments(buf: np.ndarray) -> tuple:
+    """Mean, its SE, ddof=1 variance and its SE (of the mean squared deviation)
+    along the first axis of the float64 ``buf``, spreads 0 for one sample:
+    the bits of np.mean, np.var and np.std, in three passes that overwrite ``buf``."""
+    n = buf.shape[0]
+    mean = np.add.reduce(buf) / n
+    if n < 2:
+        return (mean, *[np.zeros_like(mean)] * 3)
+    ss = np.add.reduce(np.square(np.subtract(buf, mean, out=buf), out=buf))
+    ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
+    var, var4 = ss / (n - 1), ss4 / (n - 1)
+    return mean, np.sqrt(var) / np.sqrt(n), var, np.sqrt(var4) / np.sqrt(n)
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """``_moments``' mean and its standard error of 1-D ``samples``, as floats."""
+    return tuple(map(float, _moments(np.array(samples, dtype=float))[:2]))
 
 
 def _z_score(diff, se):

@@ -254,11 +254,11 @@ class TestExperimentCoverage:
         json.loads(text, parse_constant=reject)
 
 
-def _spde_csv(tmp_path, cfg):
-    """Run ``spde`` on ``cfg``; its exit status and its main CSV as a header
+def _main_csv(tmp_path, kind, cfg):
+    """Run ``kind`` on ``cfg``; its exit status and its main CSV as a header
     and an array of the rows."""
-    status = main(["spde", "--config", _write(tmp_path, "spde.json", cfg)])
-    stem = f"spde-{parse_config({**cfg, 'experiment': 'spde'}).config_hash}"
+    status = main([kind, "--config", _write(tmp_path, f"{kind}.json", cfg)])
+    stem = f"{kind}-{parse_config({**cfg, 'experiment': kind}).config_hash}"
     header, *lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
     return status, header, np.array([[float(c) for c in line.split(",")] for line in lines])
 
@@ -280,7 +280,7 @@ class TestSpdeMomentTable:
     @pytest.mark.parametrize("paths", [64, 2000])
     def test_rows_match_statistics_of_the_solution(self, tmp_path, paths):
         cfg = {**_small_configs(tmp_path)["spde"], "paths": paths}
-        status, header, rows = _spde_csv(tmp_path, cfg)
+        status, header, rows = _main_csv(tmp_path, "spde", cfg)
         assert status == 0
         assert header == "t,mode,mean,se_mean,variance,se_variance"
         x = self._solution(cfg).values
@@ -299,10 +299,111 @@ class TestSpdeMomentTable:
         cfg = {**_small_configs(tmp_path)["spde"], "paths": 1}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            status, _, rows = _spde_csv(tmp_path, cfg)
+            status, _, rows = _main_csv(tmp_path, "spde", cfg)
         assert status == 0
         np.testing.assert_array_equal(rows[:, 2], self._solution(cfg).values[0].ravel())
         assert np.isnan(rows[:, 3:]).all()
+
+
+class TestSimulateMomentTable:
+    """The ``simulate`` CSV holds one row per grid point with the ensemble
+    statistics of the driver's paths there; its check reads the variance and
+    its SE from the same estimator, at the martingale part's terminal values."""
+
+    @staticmethod
+    def _paths(cfg):
+        grid = li.TimeGrid.uniform(cfg["grid"]["horizon"], cfg["grid"]["steps"])
+        return grid, li.simulate_paths(li.Brownian(), grid, cfg["paths"], cfg["seed"]).values[:, :, 0]
+
+    @pytest.mark.parametrize("paths", [50, 2000])
+    def test_rows_match_statistics_of_the_paths(self, tmp_path, paths):
+        cfg = {**_small_configs(tmp_path)["simulate"], "paths": paths}
+        status, header, rows = _main_csv(tmp_path, "simulate", cfg)
+        assert status == 0
+        assert header == "t,mode,mean,se_mean,variance,se_variance"
+        grid, x = self._paths(cfg)
+        assert rows.shape == (grid.n_points, 6)
+        np.testing.assert_array_equal(rows[:, 0], grid.points)
+        np.testing.assert_array_equal(rows[:, 1], 0.0)
+        mean, variance = x.mean(axis=0), x.var(axis=0, ddof=1)
+        se_variance = ((x - mean) ** 2).std(axis=0, ddof=1) / np.sqrt(paths)
+        for column, expected in zip(rows[:, 2:].T, [mean, np.sqrt(variance / paths), variance, se_variance]):
+            np.testing.assert_allclose(column, expected, rtol=1e-12, atol=0)
+
+    def test_one_path_has_nan_spreads(self, tmp_path):
+        cfg = {**_small_configs(tmp_path)["simulate"], "paths": 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, _, rows = _main_csv(tmp_path, "simulate", cfg)
+        assert status == 1  # the check needs three paths
+        np.testing.assert_array_equal(rows[:, 2], self._paths(cfg)[1][0])
+        assert np.isnan(rows[:, 3:]).all()
+
+    # sha256 of the manifest without its ``versions``, recorded while the CSV
+    # was still one row per path and grid point
+    _MANIFESTS = {
+        1: "54ea719e392c40aaa539f2575c64f767db5468d738865075934c796f88b6c185",
+        2: "3e4a5555e57472e40288a1120893b53c88c8dab90cae9d641e1426ab064b6368",
+        3: "734cc87e2acb6fa91d3fac7f6acb260365e228e45630f445b2413d0bdedb20da",
+        64: "306ed4c9f157aa357d575c8b82dfd0888102439e532d51f0aeec570ed24e3cd7",
+    }
+
+    @pytest.mark.parametrize("paths", list(_MANIFESTS))
+    def test_manifest_is_unchanged(self, tmp_path, monkeypatch, paths):
+        monkeypatch.chdir(tmp_path)
+        cfg = {**_small_configs("out")["simulate"], "paths": paths}
+        main(["simulate", "--config", _write(tmp_path, "cfg.json", cfg)])  # the digest holds the verdict
+        [path] = (tmp_path / "out").glob("*.manifest.json")
+        manifest = json.loads(path.read_text())
+        del manifest["versions"]
+        body = json.dumps(manifest, sort_keys=True, indent=2).encode()
+        assert hashlib.sha256(body).hexdigest() == self._MANIFESTS[paths]
+        # too few paths give a variance of 0.0 (one path) and an SE of inf
+        # (below three), written as null: never nan
+        detail = cli._RUNNERS["simulate"](parse_config({**cfg, "experiment": "simulate"})).checks[0][2]
+        assert not np.isnan(list(detail.values())).any()
+        assert (detail["variance"] == 0.0) == (paths == 1)
+        assert (detail["se"] == INF) == (paths < 3)
+
+
+class TestMomentBlocks:
+    """``cli._moment_table`` writes the same bytes at every block size.  No
+    block holds a lone grid point, so every column's paths are summed in row
+    order, as numpy sums them over the whole ensemble."""
+
+    @pytest.mark.parametrize("points", [2, 3, 65, 101])
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_bytes_do_not_depend_on_the_block(self, monkeypatch, dim, points):
+        n = 37
+        x = np.random.default_rng(100 * points + dim).standard_normal((n, points, dim)).cumsum(axis=1)
+        ens = li.PathEnsemble(x.copy(), li.TimeGrid.uniform(1.0, points - 1))
+        tables = []
+        for block in (2, 3, 5, points):
+            monkeypatch.setattr(cli, "_MOMENT_BLOCK_BYTES", block * 8 * n * dim)
+            tables.append(cli._moment_table(ens)[1])
+        assert all(t.tobytes() == tables[0].tobytes() for t in tables)
+        mean, std = x.mean(axis=0), x.std(axis=0, ddof=1)
+        for name, expected in [("mean", mean), ("se_mean", std / np.sqrt(n)),
+                               ("variance", x.var(axis=0, ddof=1)),
+                               ("se_variance", ((x - mean) ** 2).std(axis=0, ddof=1) / np.sqrt(n))]:
+            np.testing.assert_array_equal(tables[0][name], expected.ravel())
+        np.testing.assert_array_equal(ens.values, x)
+
+
+class TestRowsDoNotGrowWithPaths:
+    """These experiments write statistics, never a row per path, so their
+    main CSV has as many rows whatever ``paths`` is."""
+
+    @pytest.mark.parametrize("kind", ["simulate", "spde", "diagnostics", "converge", "isometry"])
+    def test_row_count(self, tmp_path, kind):
+        counts = set()
+        for paths in (3, 8):
+            (out := tmp_path / str(paths)).mkdir()
+            cfg = {**_small_configs(out)[kind], "paths": paths}
+            assert main([kind, "--config", _write(out, "cfg.json", cfg)]) in (0, 1)
+            stem = f"{kind}-{parse_config({**cfg, 'experiment': kind}).config_hash}"
+            counts.add(len((out / f"{stem}.csv").read_text().splitlines()))
+        assert len(counts) == 1
 
 
 def _artifact_digest(out_dir):
@@ -325,12 +426,16 @@ class TestArtifactGoldens:
     the runs before, and every manifest equal once its tolerances and
     versions were dropped.  The two ``spde`` digests were re-recorded when
     the main ``spde`` CSV became the per-(t, mode) moment table; their
-    manifests and ``.picard.csv`` side tables stayed byte-identical.  Float
+    manifests and ``.picard.csv`` side tables stayed byte-identical.  The
+    ``simulate`` digest was re-recorded when its CSV became the per-t moment
+    table (its manifest stayed byte-identical), and ``spde_one_mode`` was
+    recorded then: a one-mode table now sums the paths in row order, where
+    it had summed them pairwise (the two differ in the last bits).  Float
     bits of ``np.exp`` may differ on other hardware: a mismatch there means
     re-record, not a bug."""
 
     _GOLDEN = {
-        "simulate": "37483bb3d433fe49a9b2f642f3d12bc1277b24d3c4e1dd939b95358253c6dbbf",
+        "simulate": "8998affc2f789b5361d10c8c1077e1b200e886014d95b3c99cda5695791c7ac4",
         "integrate": "4eabb264dc84f02bad54d583b78b58f8d0e5d99bd276840260b2d40fa6a58d9d",
         "isometry": "2388dc4aa6ec3438a575783ad7206e8c0f54cb293d35e665f401efb45fbaebfd",
         "poisson-identity": "08cb4e687c25e9eadd1ee98cc65aa746b512c350a0db43349c8726f31aac0ba7",
@@ -338,6 +443,7 @@ class TestArtifactGoldens:
         "spde": "113e8d43780b9d3c1314dc8ae8b2062d908c13964572aad43469e6f17fb2fd39",
         "diagnostics": "03493dd8d03b4d2e89953d36c691a44c5784ed13a89dfbd850a3e7cb07ae4523",
         "spde_eigenvalues": "b0b510c487b3f8dd792b6c8401546b8198f823f2b0b7039b8d819cda5a81d478",
+        "spde_one_mode": "0d33d12efd791d9c057d7414ca9ccf4e8acade854a5d30d1f1b99e937a8bfece",
     }
 
     @pytest.mark.parametrize("name", list(_GOLDEN))
@@ -352,6 +458,11 @@ class TestArtifactGoldens:
                                  "driver": {"kind": "compensated_poisson", "rate": 2.0}},
                                 {"kind": "linear", "coefficient": 0.2}],
                      "tol": 1e-8, "max_iter": 40},
+        }
+        configs["spde_one_mode"] = {
+            **configs["spde"],
+            "spde": {"heat_dim": 1, "h0": [1.0], "tol": 1e-8, "max_iter": 10,
+                     "sigmas": [{"kind": "constant", "value": 1.0, "driver": {"kind": "brownian"}}]},
         }
         kind = name.split("_")[0]
         assert main([kind, "--config", _write(tmp_path, "cfg.json", configs[name])]) == 0
@@ -382,12 +493,12 @@ class TestCsvWriter:
         assert path.read_text() == _row_rule_csv(columns, rows)
 
     def test_emission_memory_does_not_grow_with_the_rows(self, tmp_path):
-        # simulate writes the one path table left: 2000 paths x 65 points of
-        # (path, t, value), as many bytes as a 2000 x 65 x 3 solution; a
-        # writer that joins every line at once holds about 8 times the table
-        cfg = parse_config({**_small_configs(tmp_path)["simulate"], "experiment": "simulate",
-                            "paths": 2000, "grid": {"horizon": 1.0, "steps": 64}})
-        result = cli._RUNNERS["simulate"](cfg)
+        # poisson-identity writes a row per path: 56000 paths x 7 columns hold
+        # as many bytes as a 2000 x 65 x 3 solution; a writer that joins
+        # every line at once holds several times the table
+        cfg = parse_config({**_small_configs(tmp_path)["poisson-identity"],
+                            "experiment": "poisson-identity", "paths": 56_000})
+        result = cli._RUNNERS["poisson-identity"](cfg)
         table_bytes = result.rows.nbytes
         assert table_bytes >= 2000 * 65 * 3 * 8
         tracemalloc.start()
