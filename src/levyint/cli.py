@@ -37,14 +37,16 @@ from .drivers import (
     simulate_paths,
     standard_poisson,
 )
-from .ensembles import PathEnsemble, TimeGrid, _mean_se, _moments, _z_score, sup_l2_norm
+from .ensembles import (PathEnsemble, TimeGrid, _mean_se, _moments, _row_slices, _z_score,
+                        sup_l2_norm)
 from .errors import ConfigError, NumericError, ToolkitError
 from .identities import poisson_identity_check
-from .predictability import ito_isometry_check, predictable_version
+from .predictability import _isometry_report, _isometry_samples, predictable_version
 from .riemann import levy_integral, mesh_convergence_study
 from .spde import (
     SpdeProblem,
     SpectralOperator,
+    _mild_solution,
     constant_map,
     heat_operator,
     mild_solution_picard,
@@ -149,8 +151,9 @@ def driver_to_config(spec: LevySpec) -> dict:
 
 
 # Largest array a config may ask for: float64 values at every path, grid
-# point and coordinate.  The README's 1e5-path isometry run needs 0.8 GB; a
-# count far beyond that is a config error, not a failed allocation.
+# point and coordinate, counted so even where a run holds one block of paths
+# (isometry).  The README's 1e5-path isometry run counts 0.8 GB; a count far
+# beyond that is a config error, not a failed allocation.
 _MAX_ARRAY_BYTES = 2**34
 _ARRAY_SHAPE = "paths x grid points x coordinates"
 # a jump-driven driver's table holds a time and a size per jump
@@ -383,19 +386,23 @@ def _table(columns: tuple[str, ...], *arrays) -> tuple[tuple[str, ...], np.recar
 _MOMENT_BLOCK_BYTES = 2**22
 
 
-def _moment_table(ens: PathEnsemble) -> tuple[tuple[str, ...], np.recarray]:
-    """One row per grid point and mode: ``_moments`` along the paths of each
-    block of points, copied out as paths x (points x modes); one path gives nan spreads."""
-    n, m, d = ens.values.shape
+def _moment_table(t: np.ndarray, values: np.ndarray) -> tuple[tuple[str, ...], np.recarray]:
+    """One row per grid point ``t`` and mode of the time-major ``values``
+    (points x paths x modes): ``_moments`` along the paths of each block of
+    points, copied out as paths x (points x modes); one path gives nan spreads."""
+    m, n, d = values.shape
     stats = np.empty((4, m, d))
     step = max(2, _MOMENT_BLOCK_BYTES // (8 * n * d))
+    buf = np.empty(n * min(m, step + 1) * d)  # one buffer serves every block
     for j in range(0, m - 1, step):
         k = j + step if j + step < m - 1 else m  # a lone last point joins this block
-        stats[:, j:k] = np.reshape(_moments(ens.values[:, j:k].reshape(n, -1).copy()), (4, -1, d))
+        block = buf[:n * (k - j) * d].reshape(n, k - j, d)
+        np.copyto(block, np.moveaxis(values[j:k], 0, 1))
+        stats[:, j:k] = np.reshape(_moments(block.reshape(n, -1)), (4, -1, d))
     if n == 1:
         stats[1:] = np.nan
     return _table(("t", "mode", "mean", "se_mean", "variance", "se_variance"),
-                  np.repeat(ens.grid.points, d), np.tile(np.arange(d), m), *stats.reshape(4, -1))
+                  np.repeat(t, d), np.tile(np.arange(d), m), *stats.reshape(4, -1))
 
 
 def _run_simulate(cfg: ExperimentConfig) -> RunResult:
@@ -409,7 +416,7 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
         ("terminal_variance_matches_bracket", cfg.paths > 2 and abs(var - c * grid.horizon) <= k * se,
          {"variance": var, "expected": c * grid.horizon, "se": se}),
     ]
-    return RunResult(cfg, checks, *_moment_table(ens),
+    return RunResult(cfg, checks, *_moment_table(grid.points, np.moveaxis(ens.values, 1, 0)),
                      {"bracket_rate": c, "sup_l2_norm": sup_l2_norm(ens)})
 
 
@@ -432,10 +439,27 @@ def _run_integrate(cfg: ExperimentConfig) -> RunResult:
                      {"integrand": cfg.integrand})
 
 
+# Paths simulated per isometry block: a multiple of riemann's 32-row pieces
+# that divides ``ensembles._CHUNK_ROWS``, so every per-path sum has the bits
+# of the whole-ensemble check.
+_ISOMETRY_ROWS = 1024
+
+
 def _run_isometry(cfg: ExperimentConfig) -> RunResult:
-    x = simulate_paths(cfg.driver, cfg.grid, cfg.paths, cfg.seed)
-    phi = _INTEGRANDS[cfg.integrand](x)
-    report = ito_isometry_check(phi, cfg.driver, x)
+    """``ito_isometry_check`` on the whole ensemble, holding one block of
+    paths at a time and only the per-path samples of every block."""
+    lhs, rhs = np.empty(cfg.paths), None
+    for sl in _row_slices(cfg.paths, _ISOMETRY_ROWS):
+        x = simulate_paths(cfg.driver, cfg.grid, sl.stop - sl.start, cfg.seed, path_offset=sl.start)
+        lhs[sl], block_rhs = _isometry_samples(_INTEGRANDS[cfg.integrand](x), cfg.driver, x)
+        # the first block holds two paths or all of them, so one rhs sample
+        # there is a deterministic integrand's, the same in every block
+        if rhs is None:
+            rhs = block_rhs if block_rhs.size < x.n_paths else np.empty(cfg.paths)
+        if rhs.size == cfg.paths:
+            rhs[sl] = block_rhs
+        del x  # so the next block is not simulated beside this one
+    report = _isometry_report(lhs, rhs)
     z_max = cfg.tolerances["z_max"]
     checks = [("isometry_z", abs(report.z_score) < z_max, report.record())]
     table = _table(("lhs", "rhs", "se_lhs", "se_rhs", "z"), [report.lhs], [report.rhs],
@@ -478,11 +502,13 @@ def _picard(cfg: ExperimentConfig, grid: TimeGrid):
 
 
 def _run_spde(cfg: ExperimentConfig) -> RunResult:
-    solution, report = _picard(cfg, cfg.grid)
+    # the time-major solution Picard iterated in, with no path-major copy
+    values, (report,), _ = _mild_solution(cfg.problem, cfg.grid, cfg.paths, cfg.seed,
+                                          cfg.tol, cfg.max_iter, n_blocks=1, path_offset=0)
     checks = [("picard_converged", report.converged,
                {"iterations": report.iterations, "residual": report.residual})]
     picard = _table(("iteration", "distance"), np.arange(report.iterations), report.distances)
-    return RunResult(cfg, checks, *_moment_table(solution),
+    return RunResult(cfg, checks, *_moment_table(cfg.grid.points, values),
                      {"picard": {"distances": list(report.distances),
                                  "iterations": report.iterations,
                                  "converged": report.converged,

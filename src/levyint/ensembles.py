@@ -395,13 +395,29 @@ def _z_score(diff, se):
         return np.where((se == 0) & (diff == 0), 0.0, diff / se)
 
 
-def _streamed_mean_se(total: np.ndarray, total_sq: np.ndarray, n: int) -> tuple:
-    """Mean and its standard error from running sums of x and x^2 over n samples."""
+def _merged_sums(sums: tuple, block: np.ndarray) -> tuple:
+    """Running ``(n, total, centred sum of squares)`` of samples along the
+    first axis, with ``block``'s samples merged in: the block's own centred
+    sum plus the pairwise term of Chan, Golub and LeVeque, so no sum of x^2
+    cancels against the squared mean.  Start from ``(0, 0.0, 0.0)``."""
+    n, total, m2 = sums
+    k = block.shape[0]
+    s = block.sum(axis=0)
+    dev = block - s / k
+    m2 = m2 + (dev * dev).sum(axis=0)
+    if n:
+        delta = s / k - total / n
+        m2 = m2 + delta * delta * (n * k / (n + k))
+    return n + k, total + s, m2
+
+
+def _streamed_mean_se(sums: tuple) -> tuple:
+    """Mean and its standard error from the running sums of ``_merged_sums``."""
+    n, total, m2 = sums
     mean = total / n
     if n < 2:
         return mean, np.zeros_like(mean)
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    return mean, np.sqrt(var / n)
+    return mean, np.sqrt(m2 / (n - 1) / n)
 
 
 def _gap_moments(a: PathEnsemble, b: PathEnsemble, n: int) -> np.ndarray:
@@ -461,15 +477,11 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     """
     if ensemble.grid.n_points < 2:
         raise GridError("modulus needs at least two grid points")
-    n = ensemble.n_paths
-    acc = np.zeros(ensemble.grid.n_intervals)
-    acc_sq = np.zeros(ensemble.grid.n_intervals)
-    for _, block in _blocks(n, ensemble):
+    sums = (0, 0.0, 0.0)
+    for _, block in _blocks(ensemble.n_paths, ensemble):
         d = block[:, 1:, :] - block[:, :-1, :]
-        s = np.einsum("pjd,pjd->pj", d, d)
-        acc += s.sum(axis=0)
-        acc_sq += (s * s).sum(axis=0)
-    mean_sq, se_mean = _streamed_mean_se(acc, acc_sq, n)
+        sums = _merged_sums(sums, np.einsum("pjd,pjd->pj", d, d))
+    mean_sq, se_mean = _streamed_mean_se(sums)
     norms = np.sqrt(mean_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         se_norm = np.where(norms > 0, se_mean / (2 * np.maximum(norms, 1e-300)), 0.0)

@@ -119,12 +119,21 @@ def ito_isometry_check(
     over its standard error, which is exactly the statistic the discrete
     isometry identity predicts to be standard normal.
     """
+    return _isometry_report(*_isometry_samples(phi, spec, m))
+
+
+def _isometry_samples(
+    phi: PathEnsemble, spec: LevySpec, m: PathEnsemble
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path samples of both isometry sides: ||(Phi . M)_T||^2 for every
+    path, and c * sum ||pPhi_{t_i}||^2 dt_i for every path of Phi (one sample
+    for a deterministic Phi).  Each path's samples are its own, so blocks of
+    paths give slices of the whole ensemble's samples."""
     if spec.martingale_drift != 0.0:
         raise DomainError("isometry holds for martingale drivers; decompose first")
     _check_driver(spec, m)
     pphi = predictable_version(phi)
     c = spec.bracket_rate()
-    n = max(pphi.n_paths, m.n_paths)
 
     terminal = riemann_sum(pphi, m, m.grid).values
     lhs_samples = np.einsum("pd,pd->p", terminal, terminal)
@@ -133,7 +142,12 @@ def ito_isometry_check(
     rhs_samples = np.empty(pphi.n_paths)
     for sl, block in _blocks(pphi.n_paths, pphi):
         rhs_samples[sl] = c * np.einsum("pjd,pjd,j->p", block[:, :-1, :], block[:, :-1, :], dt)
+    return lhs_samples, rhs_samples
 
+
+def _isometry_report(lhs_samples: np.ndarray, rhs_samples: np.ndarray) -> IsometryReport:
+    """Means, standard errors and the paired z-score of the isometry samples;
+    a single rhs sample is a deterministic integrand's, shared by every path."""
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
     mean_diff, se_diff = _mean_se(
@@ -141,7 +155,7 @@ def ito_isometry_check(
     )
     return IsometryReport(
         lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs,
-        z_score=float(_z_score(mean_diff, se_diff)), n_paths=n
+        z_score=float(_z_score(mean_diff, se_diff)), n_paths=lhs_samples.size
     )
 
 

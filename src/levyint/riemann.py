@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, martingale_part
-from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _pairing, _streamed_mean_se,
-                        _z_score)
+from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _merged_sums, _pairing,
+                        _streamed_mean_se, _z_score)
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -261,17 +261,14 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
     k = phi.grid.n_intervals
     s_p = np.zeros(k)
     s_d = np.zeros(k)
-    s_pd = np.zeros(k)
-    s_pd2 = np.zeros(k)
+    sums_pd = (0, 0.0, 0.0)
     for _, pv, mv in _blocks(n, phi, m, broadcast=True):
         pv = pv[:, :-1, :].mean(axis=2)
         dv = np.diff(mv[:, :, 0], axis=1)
         s_p += pv.sum(axis=0)
         s_d += dv.sum(axis=0)
-        prod = pv * dv
-        s_pd += prod.sum(axis=0)
-        s_pd2 += (prod * prod).sum(axis=0)
+        sums_pd = _merged_sums(sums_pd, pv * dv)
     # SE of the covariance estimated from the spread of the products
-    mean_pd, se = _streamed_mean_se(s_pd, s_pd2, n)
+    mean_pd, se = _streamed_mean_se(sums_pd)
     cov = mean_pd - (s_p / n) * (s_d / n)
     return _z_score(cov, se)

@@ -256,7 +256,9 @@ def mild_solution_picard(
     iterates falls below ``tol``; non-convergence within ``max_iter`` is
     reported, not raised.
 
-    Memory scales as n_paths * n_points * dim; chunk large ensembles with
+    Memory scales as n_paths * n_points * dim: the iteration holds one
+    time-major solution and the driver increments, and the path-major
+    solution returned is a second copy.  Chunk large ensembles with
     ``path_offset`` (per-path streams make chunked runs reproduce the
     corresponding slice of a single large run).
     """
@@ -285,7 +287,35 @@ def mild_solution_restarted(
     values as its initial state.  Drivers are still simulated once over the
     whole grid, so the chained solution solves the same discrete fixed-point
     equation as a fully converged single-block run.
+
+    The iteration holds one time-major solution (plus the driver
+    increments); the path-major copy returned is a second, so at return the
+    peak is two solutions.
     """
+    vals, reports, continuous = _mild_solution(
+        problem, grid, n_paths, seed, tol, max_iter, n_blocks, path_offset)
+    solution = PathEnsemble(
+        values=np.ascontiguousarray(np.transpose(vals, (1, 0, 2))),
+        grid=grid,
+        adapted=True,
+        continuous=continuous,
+    )
+    return solution, reports
+
+
+def _mild_solution(
+    problem: SpdeProblem,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    tol: float,
+    max_iter: int,
+    n_blocks: int,
+    path_offset: int,
+) -> tuple[np.ndarray, tuple[PicardReport, ...], bool]:
+    """``mild_solution_restarted`` without the path-major copy: the
+    time-major values (n_points, n_paths, dim), the block reports, and
+    whether every driver is continuous."""
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
@@ -312,27 +342,30 @@ def mild_solution_restarted(
         )
         for b0, b1 in zip(bounds[:-1], bounds[1:])
     )
-    solution = PathEnsemble(
-        values=np.ascontiguousarray(np.transpose(vals, (1, 0, 2))),
-        grid=grid,
-        adapted=True,
-        continuous=continuous,
-    )
-    return solution, reports
+    return vals, reports, continuous
 
 
 def _sweep(
     decay: np.ndarray, out: np.ndarray, drive: Callable[[int], np.ndarray]
-) -> Iterator[int]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """The mild recursion out[j+1] = decay[j] * (out[j] + drive(j)), in place.
 
-    ``out`` is time-major with ``out[0]`` set by the caller; each index is
-    yielded as soon as it is filled.
+    ``out`` is time-major with ``out[0]`` set by the caller.  Each new row is
+    formed in one row buffer and yielded as ``(j + 1, row)`` while
+    ``out[j + 1]`` still holds its old value; ``drive(j + 1)`` is called next,
+    and then the row is written.  So ``drive(j)`` and the caller see row j of
+    what ``out`` held before the sweep, and a sweep needs no second buffer.
     """
-    for j in range(decay.shape[0]):
-        np.add(out[j], drive(j), out=out[j + 1])
-        np.multiply(decay[j], out[j + 1], out=out[j + 1])
-        yield j + 1
+    n_steps = decay.shape[0]
+    row = np.empty(out.shape[1:])
+    d = drive(0)
+    for j in range(n_steps):
+        np.add(out[j], d, out=row)
+        np.multiply(decay[j], row, out=row)
+        yield j + 1, row
+        if j + 1 < n_steps:
+            d = drive(j + 1)
+        out[j + 1] = row
 
 
 def _picard_window(
@@ -347,40 +380,41 @@ def _picard_window(
 
     ``pts`` carries absolute times (coefficients see them); ``vals`` is the
     time-major window (n_points, n_paths, dim) with ``vals[0]`` holding the
-    initial values.  Iterates alternate between ``vals`` and one scratch
-    buffer, and the sup-L2 iterate distance is accumulated as the sweep runs.
+    initial values.  ``vals`` is the only iterate held: it starts as the
+    flow-only guess, and each sweep overwrites it row by row with the next
+    iterate (``_sweep``), accumulating the sup-L2 iterate distance as it goes.
     """
     dts = np.diff(pts)
-    decay = np.exp(-np.outer(dts, problem.operator.eigenvalues))
+    mu = problem.operator.eigenvalues
+    decay = np.exp(-np.outer(dts, mu))
 
-    # the flow-only initial guess; its row 0 is vals[0] * 1.0, so both
-    # buffers start every sweep from the same initial values
-    prev = vals[0] * np.exp(-np.outer(pts - pts[0], problem.operator.eigenvalues))[:, None, :]
-    nxt = vals
+    # the flow-only initial guess, row by row (a broadcast would allocate a
+    # second window); its row 0 is vals[0] * 1.0, the initial values
+    flow = np.exp(-np.outer(pts - pts[0], mu))
+    for j in range(pts.size):
+        np.multiply(vals[0], flow[j], out=vals[j])
+
+    def drive(j: int) -> np.ndarray:
+        t_j, prev = float(pts[j]), vals[j]
+        d = np.zeros(vals.shape[1:])
+        if problem.alpha is not None:
+            d += problem.alpha(t_j, prev) * dts[j]
+        for sigma, inc in zip(problem.sigmas, increments):
+            d += sigma(t_j, prev) * inc[j][:, None]
+        return d
+
     distances: list[float] = []
     for _ in range(max_iter):
-        def drive(j: int) -> np.ndarray:
-            t_j = float(pts[j])
-            d = np.zeros(vals.shape[1:])
-            if problem.alpha is not None:
-                d += problem.alpha(t_j, prev[j]) * dts[j]
-            for sigma, inc in zip(problem.sigmas, increments):
-                d += sigma(t_j, prev[j]) * inc[j][:, None]
-            return d
-
         sq_gap = np.zeros(pts.size)
-        for k in _sweep(decay, nxt, drive):
-            gap = nxt[k] - prev[k]
+        for k, row in _sweep(decay, vals, drive):
+            gap = row - vals[k]
             sq_gap[k] = np.einsum("pd,pd->", gap, gap)
         d = float(np.sqrt(np.max(sq_gap) / vals.shape[1]))
         if not np.isfinite(d):
             raise NumericError("Picard iterate diverged to NaN or overflow")
         distances.append(d)
-        prev, nxt = nxt, prev
         if d < tol:
             break
-    if prev is not vals:
-        vals[...] = prev
     return PicardReport(distances=tuple(distances), tolerance=tol)
 
 

@@ -369,25 +369,113 @@ class TestSimulateMomentTable:
 class TestMomentBlocks:
     """``cli._moment_table`` writes the same bytes at every block size.  No
     block holds a lone grid point, so every column's paths are summed in row
-    order, as numpy sums them over the whole ensemble."""
+    order, as numpy sums them over the whole ensemble.  It reads time-major
+    values (points x paths x modes), contiguous as ``spde`` passes them or a
+    view of path-major values as ``simulate`` passes them; ``_PATH_MAJOR``
+    holds the sha256 of each table, recorded when it read path-major
+    ensembles, so the layout does not move a bit."""
+
+    _PATH_MAJOR = {
+        (1, 2): "0deec893038794aa02403846778d54beb8f59e05c5002905fde727cd8ca8d366",
+        (3, 2): "b00462e959187bcc51c330a79a0f945310f679cefd60690bb530a2bf137a74b4",
+        (10, 2): "9e3838f972a347fec305839b3d6d9ca29bf640fe5048ac406f0fcf18d420fa3e",
+        (1, 3): "f8aaa224e5eb7af1422560d7b3333fac050169f3c7790ad8fd7cefe80dfbe38f",
+        (3, 3): "21196445f74f3b625023de8a3eef6502c4fc774afc813c43734c95e283d11ad6",
+        (10, 3): "5fc63a240f1ef80f974fe293c31847742545ccf3cd7ed4c5e86fb7fe3e6d0e0d",
+        (1, 65): "3a62dd219c20962692858eb65989e7a4c70bdbab87da9fc476f9c1c0df5d2c26",
+        (3, 65): "e7327d03919312704517f1e31ede7ad66c80fe640c7f21fcbb170ddfabe6ebdb",
+        (10, 65): "f67a71bfa60fca69087c2e5d2f532f09a519cfd54347ef000ba87c4524f115c0",
+        (1, 101): "ce113f80d5fd5a4cf3f1e628ca79127809939abe6facc397c184103adac3408b",
+        (3, 101): "8a396fdb46be4e366381b6c2376fcdcc6b0dccd55fbd5ced866e1014a6a98305",
+        (10, 101): "38128c359ebf1259c18e45b2ac1c3874d685ae79035f2ef272cfd228463e8617",
+    }
 
     @pytest.mark.parametrize("points", [2, 3, 65, 101])
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_bytes_do_not_depend_on_the_block(self, monkeypatch, dim, points):
         n = 37
         x = np.random.default_rng(100 * points + dim).standard_normal((n, points, dim)).cumsum(axis=1)
-        ens = li.PathEnsemble(x.copy(), li.TimeGrid.uniform(1.0, points - 1))
+        path_major = li.PathEnsemble(x.copy(), li.TimeGrid.uniform(1.0, points - 1)).values
+        time_major = np.ascontiguousarray(np.moveaxis(x, 1, 0))
+        t = li.TimeGrid.uniform(1.0, points - 1).points
         tables = []
         for block in (2, 3, 5, points):
             monkeypatch.setattr(cli, "_MOMENT_BLOCK_BYTES", block * 8 * n * dim)
-            tables.append(cli._moment_table(ens)[1])
+            tables.append(cli._moment_table(t, time_major)[1])
+            tables.append(cli._moment_table(t, np.moveaxis(path_major, 1, 0))[1])
         assert all(t.tobytes() == tables[0].tobytes() for t in tables)
+        assert hashlib.sha256(tables[0].tobytes()).hexdigest() == self._PATH_MAJOR[(dim, points)]
         mean, std = x.mean(axis=0), x.std(axis=0, ddof=1)
         for name, expected in [("mean", mean), ("se_mean", std / np.sqrt(n)),
                                ("variance", x.var(axis=0, ddof=1)),
                                ("se_variance", ((x - mean) ** 2).std(axis=0, ddof=1) / np.sqrt(n))]:
             np.testing.assert_array_equal(tables[0][name], expected.ravel())
-        np.testing.assert_array_equal(ens.values, x)
+        np.testing.assert_array_equal(path_major, x)
+        np.testing.assert_array_equal(time_major, np.moveaxis(x, 1, 0))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIsometryBlocks:
+    """The ``isometry`` run simulates its paths in blocks and keeps only the
+    per-path samples of each; its report is ``ito_isometry_check`` on the
+    whole ensemble, bit for bit, and its memory does not grow with the paths."""
+
+    _DRIVERS = {
+        "brownian": {"kind": "brownian", "volatility": 0.7},
+        "compound_poisson": {"kind": "compound_poisson", "rate": 3.0,
+                             "jump_law": {"kind": "normal", "loc": 0.0, "scale": 0.5}},
+    }
+
+    @staticmethod
+    def _config(driver, integrand, paths, steps):
+        return parse_config({"experiment": "isometry", "driver": driver, "integrand": integrand,
+                             "paths": paths, "seed": 11, "grid": {"horizon": 1.0, "steps": steps}})
+
+    @pytest.mark.parametrize("paths", [1, 1025, 4097, 4096 + 33, 8192])
+    @pytest.mark.parametrize("integrand", ["ones", "time", "driver_left_limit"])
+    @pytest.mark.parametrize("driver", list(_DRIVERS))
+    def test_report_is_the_whole_ensemble_check(self, driver, integrand, paths):
+        cfg = self._config(self._DRIVERS[driver], integrand, paths, 16)
+        result = cli._run_isometry(cfg)
+        x = li.simulate_paths(cfg.driver, cfg.grid, paths, cfg.seed)
+        expected = li.ito_isometry_check(cli._INTEGRANDS[integrand](x), cfg.driver, x).record()
+        (_, _, detail), = result.checks
+        assert list(detail) == list(expected)
+        assert np.array(list(detail.values())).tobytes() == np.array(list(expected.values())).tobytes()
+        row = [result.rows[c][0] for c in result.columns]
+        assert np.array(row).tobytes() == np.array(list(expected.values())).tobytes()
+
+    def test_traced_peak_does_not_grow_with_the_paths(self):
+        driver = {"kind": "compensated_poisson", "rate": 2.0}
+        two, eight = (_traced_peak(cli._run_isometry,
+                                   self._config(driver, "driver_left_limit", blocks * cli._ISOMETRY_ROWS, 1000))
+                      for blocks in (2, 8))
+        assert eight < 1.5 * two
+
+
+class TestSpdeMemory:
+    """The ``spde`` run holds one solution: Picard iterates in one time-major
+    buffer and the moment table reads it in place."""
+
+    def test_traced_peak_is_about_one_solution(self):
+        paths, steps, dim = 4000, 64, 10
+        cfg = parse_config({"experiment": "spde", "paths": paths, "seed": 5,
+                            "grid": {"horizon": 1.0, "steps": steps},
+                            "spde": {"heat_dim": dim, "h0": [1.0] + [0.0] * (dim - 1),
+                                     "alpha": {"kind": "linear", "coefficient": 0.25},
+                                     "sigmas": [{"kind": "linear", "coefficient": 0.25,
+                                                 "driver": {"kind": "brownian"}}],
+                                     "tol": 1e-4, "max_iter": 15}})
+        assert _traced_peak(cli._run_spde, cfg) <= 1.4 * paths * (steps + 1) * dim * 8
 
 
 class TestRowsDoNotGrowWithPaths:

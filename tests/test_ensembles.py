@@ -136,6 +136,20 @@ class TestContinuityModulus:
         slack = 3 * (mc.max_standard_error + mf.max_standard_error)
         assert mf.max_norm < mc.max_norm - slack
 
+    @pytest.mark.parametrize("rows", [4096, 137])
+    def test_standard_errors_do_not_cancel(self, monkeypatch, rows):
+        import levyint.ensembles as ens_mod
+
+        # squared increments near 6.25e8 with a spread near 25: running sums
+        # of x and x^2 cancel to SEs of 0, 0, 0 and 5.1e-6 here
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        x = li.simulate_paths(li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4), 2000, 0)
+        rep = li.ms_continuity_modulus(x)
+        sq = np.diff(x.values[:, :, 0], axis=1) ** 2
+        mean, se = ens_mod._moments(sq.copy())[:2]
+        np.testing.assert_allclose(rep.standard_errors, se / (2 * np.sqrt(mean)), rtol=1e-3)
+        assert np.all((rep.standard_errors > 1e-5) & (rep.standard_errors < 1.2e-5))
+
 
 class TestLeftLimit:
     def test_continuous_unchanged(self, grid100):
@@ -397,14 +411,19 @@ def _reduction_outputs():
 class TestReductionGoldens:
     """sha256 of every path reduction at three block sizes, recorded before
     the reductions shared one block iterator; a change here means the
-    numbers changed."""
+    numbers changed.  Re-recorded when streamed standard errors came to merge
+    per-block centred sums: only the modulus standard errors and the
+    increment-independence z-scores moved (by at most 4.2e-15 relative)."""
 
     @pytest.mark.parametrize(
         "rows, expect",
         [
-            (4096, "f485090299b4833be63e7fa11ca930d23df99fbf62f91e1286f3183d1685c722"),
-            (137, "3aff9bcb8e7ad3e2b94f29a49c96b8ad4676a3683438afa023f2ed4c7fe2086e"),
-            (1, "8e3b9549100d262c7ac7dd1c46ad53208310ba97611975b791df1fa7dfb65e38"),
+            pytest.param(4096, "e8855aaf63e173ef8f7a514dd843ad14663846a969591ea949d17f29e21147e6",
+                         id="4096"),
+            pytest.param(137, "4cf06b8a67d8b95b4a5f14315035ab2568ce4b74fb7f4c92879165d3c2025c52",
+                         id="137"),
+            pytest.param(1, "0c131cf8eec9c6a02463d9f6da9dbc388f3a69d79b5ddbc9258a6bac3f8348b1",
+                         id="1"),
         ],
     )
     def test_reductions(self, monkeypatch, rows, expect):

@@ -192,6 +192,18 @@ class TestIntegralProcess:
         assert li.increment_independence_z(phi, m).tolist() == [-np.inf]
         assert li.increment_independence_z(phi, phi.with_values(np.zeros((2, 2, 1)))).tolist() == [0.0]
 
+    def test_standard_error_does_not_cancel(self):
+        # independent paths with drift 1e5 and spread 1e-3: the products have
+        # means near 6e8 and spreads near 18, where running sums of x and x^2
+        # cancel in the SE the z-scores divide by.  The paths fit one block,
+        # so ``cov`` has the function's bits and z tests the SE alone.
+        spec, grid = li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4)
+        phi, m = (li.simulate_paths(spec, grid, 2000, seed) for seed in (0, 1))
+        z = li.increment_independence_z(phi, m)
+        p, d = phi.values[:, 1:-1, 0], np.diff(m.values[:, 1:, 0], axis=1)
+        cov = (p * d).sum(axis=0) / 2000 - (p.sum(axis=0) / 2000) * (d.sum(axis=0) / 2000)
+        np.testing.assert_allclose(z[1:], cov / ens_mod._moments(p * d)[1], rtol=1e-3)
+
 
 class TestBochnerIntegral:
     def test_constant(self, grid100):

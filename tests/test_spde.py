@@ -429,6 +429,39 @@ class TestGoldenDigests:
         assert _digest(conv.values) == expect
 
 
+class TestPicardGoldens:
+    """sha256 of solutions and distances, recorded when Picard held two
+    iterates and swapped them after every sweep: state-dependent problems at
+    1, 2 and 3 sweeps (both parities of the swap), one and three blocks, 37
+    steps, a tol the first sweep meets, and a state-free problem."""
+
+    _PROBLEMS = {"readme": _readme_problem, "stiff": _stiff_problem,
+                 "linear": lambda: _linear_problem(4)}
+
+    @pytest.mark.parametrize("name, steps, max_iter, n_blocks, tol, expect", [
+        ("readme", 37, 1, 1, 1e-12, "4cb1ef80ef506485b2e3569e2e3c1d314872b76e8025f34412e9d2255ca453de"),
+        ("readme", 37, 2, 1, 1e-12, "1e9b7a7102b24ce699b53578138e1e4dfde2cb17a6616b243faa3a2226fcec26"),
+        ("readme", 37, 3, 1, 1e-12, "4f6c4194ff35c7a2cd29ab66840b6f3b8d3e6ff7d43a335c4b50bcb0739de0a9"),
+        ("readme", 37, 1, 3, 1e-12, "77c10db379648004bb517b3b9000c2dfd1cced1e4b5e574e25443bcf9a2e52c0"),
+        ("readme", 37, 2, 3, 1e-12, "1de50b72e4f82e2b6e2a11b627145a2048972cfd552cfea6f591fdee5c6d1719"),
+        ("readme", 37, 3, 3, 1e-12, "3ff4b88c5305b186b5d9523e7e8106ad3c74a863712bc3f04c12908451976001"),
+        ("readme", 64, 15, 1, 1e-4, "bb9b69b4b646a65dff25fd6d1ac52295152949f5bee4e31329bacc86c02d9724"),
+        ("stiff", 37, 3, 3, 1e-8, "f170b994766ef9a33bb2df77d717b63e11e81cb98f614c5d9efb8884ade3f562"),
+        ("stiff", 37, 2, 1, 1e-8, "ac2fd89a14f3fb3804681dcd7c99757df485b4025639da9d845aa606f3b7586a"),
+        # the first sweep meets tol: one distance per block, as at max_iter 1
+        ("readme", 37, 5, 1, 1e3, "4cb1ef80ef506485b2e3569e2e3c1d314872b76e8025f34412e9d2255ca453de"),
+        ("readme", 37, 5, 3, 1e3, "77c10db379648004bb517b3b9000c2dfd1cced1e4b5e574e25443bcf9a2e52c0"),
+        ("linear", 37, 1, 1, 1e-12, "73a842f40617ca5377a7dfd94a27dfd80216acdc5675399be79c7eccba444d23"),
+        ("linear", 37, 2, 3, 1e-12, "14d6dac7bd7ed787b3b76e4d1c692c398ad0dca8ac75f5dae43f1e9ec0ffef76"),
+    ])
+    def test_solution_and_distances(self, name, steps, max_iter, n_blocks, tol, expect):
+        sol, reps = li.mild_solution_restarted(
+            self._PROBLEMS[name](), li.TimeGrid.uniform(1.0, steps), 30, 7,
+            tol=tol, max_iter=max_iter, n_blocks=n_blocks,
+        )
+        assert _digest(sol.values, *(r.distances for r in reps)) == expect
+
+
 class TestSolverVariance:
     def test_linear_solution_matches_oracle(self):
         dim = 4
