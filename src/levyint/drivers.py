@@ -22,6 +22,14 @@ one read-only ``JumpTable``: an array of times, one of sizes and the bounds
 of each path's run.  Each path's numbers are formed by the same operations
 in the same order as a path on its own, so output does not depend on the
 block size.
+
+A large call fills its blocks on one thread per CPU
+(``ensembles._run_blocks``): a Brownian block draws from a generator of its
+own, and a jump-driven ensemble turns its table into grid values block by
+block once every path's jumps are drawn.  Jump draws stay on the calling
+thread, since their loop of scalar draws holds the GIL.  Because every
+path has its own stream and every block is formed alone, the output has the
+same bits on one thread or many.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import JumpTable, PathEnsemble, TimeGrid, _jump_values, _rows
+from .ensembles import JumpTable, PathEnsemble, TimeGrid, _jump_values, _rows, _run_blocks
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
@@ -256,28 +264,35 @@ def _exact_jump_times(rng: np.random.Generator, rate: float, horizon: float) -> 
 _FILL_ROWS = 256
 
 
-def _row_blocks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """``(first row, rows)`` blocks of ``values[:, :, 0]`` for the caller to
-    fill; each block is checked finite when the caller asks for the next."""
-    for a in range(0, values.shape[0], _FILL_ROWS):
+def _fill_blocks(values: np.ndarray, fill) -> None:
+    """Run ``fill(first row, rows)`` on each ``_FILL_ROWS``-row block of
+    ``values[:, :, 0]`` (on the pool in a large call, see
+    ``ensembles._run_blocks``) and check each filled block finite."""
+    def task(a: int) -> None:
         block = values[a:a + _FILL_ROWS, :, 0]
-        yield a, block
+        fill(a, block)
         if not np.isfinite(block).all():
             raise NumericError("simulation produced non-finite values")
 
+    _run_blocks(task, range(0, values.shape[0], _FILL_ROWS), *values.shape[:2])
 
-def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, rngs) -> None:
+
+def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
+                   offset: int) -> None:
     scale = spec.volatility * np.sqrt(grid.dt)
     drift = spec.drift * grid.points
-    noise = np.empty((_FILL_ROWS, grid.n_intervals))
-    for _, block in _row_blocks(values):
-        steps = noise[:len(block)]
-        for row, rng in zip(steps, rngs):
+
+    def fill(a: int, block: np.ndarray) -> None:
+        # each block draws from its own generator, set to each of its paths in turn
+        steps = np.empty((len(block), grid.n_intervals))
+        for row, rng in zip(steps, _path_rngs(key, offset + a, len(block))):
             rng.standard_normal(out=row)
         steps *= scale
         block[:, 0] = 0.0
         np.cumsum(steps, axis=1, out=block[:, 1:])
         block += drift
+
+    _fill_blocks(values, fill)
 
 
 def _path_drift(spec: LevySpec) -> float:
@@ -289,10 +304,11 @@ def _path_drift(spec: LevySpec) -> float:
     return spec.drift
 
 
-def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> JumpTable:
+def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
+               offset: int) -> JumpTable:
     compound = isinstance(spec, CompoundPoisson)
     times, sizes = [], []
-    for rng in rngs:
+    for rng in _path_rngs(key, offset, values.shape[0]):
         t = _exact_jump_times(rng, spec.rate, grid.horizon)
         times.append(t)
         if compound:
@@ -301,9 +317,12 @@ def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, rngs) -> Jump
     jumps = JumpTable(np.concatenate(times), np.concatenate(sizes) if compound else np.ones(bounds[-1]),
                       bounds)
     drift = _path_drift(spec) * grid.points
-    for a, block in _row_blocks(values):
+
+    def fill(a: int, block: np.ndarray) -> None:
         np.add(_jump_values(grid.points, jumps.times, jumps.sizes, jumps.bounds[a:a + len(block) + 1]),
                drift, out=block)
+
+    _fill_blocks(values, fill)
     return jumps
 
 
@@ -335,9 +354,12 @@ def simulate_paths(
         path draws from its own stream in turn; grid values are then filled
         in row blocks, and each block is checked finite (``NumericError``).
     threads:
-        Ignored: simulation runs on one thread.  Kept only because the
-        benchmark probe ``perfbench/workloads.py::threads_baseline`` passes
-        it; the keyword and the probe are retired together.
+        Ignored: no argument sets a thread count.  A call of at least 2**20
+        values in rows of at least 768 points fills its row blocks on one
+        thread per CPU, and any other call runs on the calling thread, with
+        the same bits either way.  Kept only because the benchmark probe
+        ``perfbench/workloads.py::threads_baseline`` passes it; the keyword
+        and the probe are retired together.
     """
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
@@ -346,13 +368,12 @@ def simulate_paths(
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-    rngs = _path_rngs(key, path_offset, n_paths)
     values = np.empty((n_paths, grid.n_points, 1))
     jumps = None
     if isinstance(spec, Brownian):
-        _fill_brownian(spec, grid, values, rngs)
+        _fill_brownian(spec, grid, values, key, path_offset)
     elif isinstance(spec, (CompensatedPoisson, CompoundPoisson)):
-        jumps = _fill_jump(spec, grid, values, rngs)
+        jumps = _fill_jump(spec, grid, values, key, path_offset)
     else:
         raise ParameterError(f"unknown driver spec {type(spec).__name__}")
     return PathEnsemble(values=values, grid=grid, adapted=True, continuous=jumps is None,

@@ -5,10 +5,17 @@ expectations become averages over paths, and the curve norm is the sup over
 grid points of the root mean squared Euclidean norm.  Every reduction walks
 the paths in blocks of paired rows (``_blocks``), so that large ensembles
 (1e5 paths x 1e3 grid points) never allocate full-size temporaries.
+
+A large call runs its row blocks on one thread per CPU (``_run_blocks``).
+Each block is computed exactly as it would be alone, so the output is the
+same whether its blocks run in order on one thread or at once on many.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -27,6 +34,54 @@ if TYPE_CHECKING:
 # rows per block in path reductions; a reduction is bit-identical only at a
 # fixed block size
 _CHUNK_ROWS = 4096
+
+
+# A call's row blocks run on the pool when it holds at least _POOL_ELEMENTS
+# elements (rows x points) in rows of at least _POOL_POINTS points.  Below
+# the first, handing blocks to threads costs more than it saves; below the
+# second, each row's work that holds the GIL (a generator reset, a block's
+# Python overhead) outweighs the work that releases it, and two threads
+# contending for the GIL ran up to twice as slow as one.
+_POOL_ELEMENTS = 2**20
+_POOL_POINTS = 768
+
+_pool = None  # (pid that created it, executor), made on the first pooled call
+_pool_lock = threading.Lock()
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_blocks(fn: Callable, blocks, rows: int, points: int) -> list:
+    """``[fn(block) for block in blocks]`` over a call of ``rows`` x ``points``
+    elements: on one thread per CPU when the call is large enough (see
+    ``_POOL_ELEMENTS``) and the host has more than one CPU, else in order on
+    this thread.  Each ``fn`` writes its own rows of a preallocated output
+    and never calls this function, since a block that waits on the pool
+    could starve it.  Results come in block order, so the first failing
+    block's error is raised, as on one thread; every block has finished
+    when this returns or raises."""
+    global _pool
+    blocks = list(blocks)
+    if (points < _POOL_POINTS or rows * points < _POOL_ELEMENTS or len(blocks) < 2
+            or _workers() < 2):
+        return [fn(block) for block in blocks]
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            # a forked child has the parent's executor but none of its threads
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(_workers()))
+        pool = _pool[1]
+    # each block runs in a copy of the caller's context, so np.errstate holds in it
+    futures = [pool.submit(contextvars.copy_context().run, fn, block) for block in blocks]
+    for f in futures:
+        f.exception()  # waits; an error is raised below, in block order
+    return [f.result() for f in futures]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

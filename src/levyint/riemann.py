@@ -16,7 +16,7 @@ import numpy as np
 
 from .drivers import LevySpec, martingale_part
 from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _merged_sums, _pairing,
-                        _streamed_mean_se, _z_score)
+                        _run_blocks, _streamed_mean_se, _z_score)
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -65,6 +65,8 @@ class MeshStudy:
 # rows per block in riemann_sum: small blocks keep its increments in cache
 # (each path's sum is the same at any block size, see ensembles._row_slices)
 _SUM_ROWS = 32
+# pieces per task when a large sum runs on the pool (ensembles._run_blocks)
+_GROUP_PIECES = 8
 
 
 def _require_adapted(phi: PathEnsemble) -> None:
@@ -97,21 +99,27 @@ def riemann_sum(
     # a uniform partition is a slice: views, where an index array copies
     cols = slice(int(pi[0]), int(pi[-1]) + 1, step) if np.all(np.diff(pi) == step) else pi
     out = np.empty((n, phi.dim))
-    for sl, pv, mv in _blocks(n, phi, m, rows=_SUM_ROWS):
-        v = mv[:, cols, 0]
-        # time-major (F-ordered) increments, as numpy lays out the gather
-        # mv[:, pi, 0]: einsum then adds each path's terms in time order
-        # whatever the layout of pv, so the sums keep their bits
-        dm = np.subtract(v[:, 1:], v[:, :-1], order="F")
-        # one row of increments leaves that order to pv's layout, which only
-        # the gather's time-major copy fixes
-        pv = pv[:, cols, :][:, :-1, :] if dm.shape[0] > 1 else pv[:, pi[:-1], :]
-        if pv.shape[0] == 1 and dm.shape[0] > 1:
-            out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
-        elif dm.shape[0] == 1 and pv.shape[0] > 1:
-            out[sl] = np.einsum("pjd,j->pd", pv, dm[0])
-        else:
-            out[sl] = np.einsum("pjd,pj->pd", pv, dm)
+
+    def sum_pieces(pieces: list) -> None:
+        for sl, pv, mv in pieces:
+            v = mv[:, cols, 0]
+            # time-major (F-ordered) increments, as numpy lays out the gather
+            # mv[:, pi, 0]: einsum then adds each path's terms in time order
+            # whatever the layout of pv, so the sums keep their bits
+            dm = np.subtract(v[:, 1:], v[:, :-1], order="F")
+            # one row of increments leaves that order to pv's layout, which only
+            # the gather's time-major copy fixes
+            pv = pv[:, cols, :][:, :-1, :] if dm.shape[0] > 1 else pv[:, pi[:-1], :]
+            if pv.shape[0] == 1 and dm.shape[0] > 1:
+                out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
+            elif dm.shape[0] == 1 and pv.shape[0] > 1:
+                out[sl] = np.einsum("pjd,j->pd", pv, dm[0])
+            else:
+                out[sl] = np.einsum("pjd,pj->pd", pv, dm)
+
+    pieces = list(_blocks(n, phi, m, rows=_SUM_ROWS))
+    _run_blocks(sum_pieces, (pieces[i:i + _GROUP_PIECES] for i in range(0, len(pieces), _GROUP_PIECES)),
+                n, pi.size)
     return RiemannSumResult(values=out)
 
 
@@ -254,21 +262,25 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
     Adapted integrands against independent-increment drivers should produce
     covariances compatible with zero; large |z| indicates look-ahead bias.
     Multidimensional integrands are reduced along coordinates by averaging.
+    The covariance is the mean of the centred products
+    (phi_{t_i} - mean)(dM_i - mean), divided by their standard error, so
+    neither cancels against the product of the means when the paths drift.
     """
     n = _pairing(phi, m)
     if n < 2:
         raise ConsistencyError("covariance needs at least two paths")
-    k = phi.grid.n_intervals
-    s_p = np.zeros(k)
-    s_d = np.zeros(k)
-    sums_pd = (0, 0.0, 0.0)
-    for _, pv, mv in _blocks(n, phi, m, broadcast=True):
-        pv = pv[:, :-1, :].mean(axis=2)
-        dv = np.diff(mv[:, :, 0], axis=1)
-        s_p += pv.sum(axis=0)
-        s_d += dv.sum(axis=0)
-        sums_pd = _merged_sums(sums_pd, pv * dv)
-    # SE of the covariance estimated from the spread of the products
-    mean_pd, se = _streamed_mean_se(sums_pd)
-    cov = mean_pd - (s_p / n) * (s_d / n)
-    return _z_score(cov, se)
+
+    def pairs():
+        for _, pv, mv in _blocks(n, phi, m, broadcast=True):
+            yield pv[:, :-1, :].mean(axis=2), np.diff(mv[:, :, 0], axis=1)
+
+    # the means first, then the products centred at them; a single path is
+    # its own mean, so a deterministic side centres to exactly 0
+    totals = [0.0, 0.0]
+    for pair in pairs():
+        totals = [t + x.sum(axis=0) for t, x in zip(totals, pair)]
+    means = [x[0] if e.n_paths == 1 else t / n for x, e, t in zip(next(pairs()), (phi, m), totals)]
+    sums = (0, 0.0, 0.0)
+    for p, d in pairs():
+        sums = _merged_sums(sums, (p - means[0]) * (d - means[1]))
+    return _z_score(*_streamed_mean_se(sums))

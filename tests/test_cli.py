@@ -751,7 +751,7 @@ class TestExitCodes:
 
 
 class TestThreadControl:
-    """Simulation runs on one thread; no input sets a thread count."""
+    """No input sets a thread count (large calls use one thread per CPU, with the same bits)."""
 
     @pytest.mark.parametrize(
         "source, value",

@@ -413,16 +413,20 @@ class TestReductionGoldens:
     the reductions shared one block iterator; a change here means the
     numbers changed.  Re-recorded when streamed standard errors came to merge
     per-block centred sums: only the modulus standard errors and the
-    increment-independence z-scores moved (by at most 4.2e-15 relative)."""
+    increment-independence z-scores moved (by at most 4.2e-15 relative).
+    Re-recorded when the increment-independence covariance came to be the
+    mean of centred products over their own standard error: only its
+    z-scores moved; with the former function every other entry gives the
+    former digests."""
 
     @pytest.mark.parametrize(
         "rows, expect",
         [
-            pytest.param(4096, "e8855aaf63e173ef8f7a514dd843ad14663846a969591ea949d17f29e21147e6",
+            pytest.param(4096, "d4425d6cb5f012773a694b15ce3b0ea99825a92ad3a4c09d98e9f5dd1034fb93",
                          id="4096"),
-            pytest.param(137, "4cf06b8a67d8b95b4a5f14315035ab2568ce4b74fb7f4c92879165d3c2025c52",
+            pytest.param(137, "20fca3f077a3e4e6a859dfd10b1eac5078e345a3c4626f5bc911b8181af80fab",
                          id="137"),
-            pytest.param(1, "0c131cf8eec9c6a02463d9f6da9dbc388f3a69d79b5ddbc9258a6bac3f8348b1",
+            pytest.param(1, "ca3b2b07417aa3e4f6d8669525520e9efd9a5eadd477284436336ef9ba953505",
                          id="1"),
         ],
     )

@@ -193,16 +193,39 @@ class TestIntegralProcess:
         assert li.increment_independence_z(phi, phi.with_values(np.zeros((2, 2, 1)))).tolist() == [0.0]
 
     def test_standard_error_does_not_cancel(self):
-        # independent paths with drift 1e5 and spread 1e-3: the products have
-        # means near 6e8 and spreads near 18, where running sums of x and x^2
-        # cancel in the SE the z-scores divide by.  The paths fit one block,
-        # so ``cov`` has the function's bits and z tests the SE alone.
-        spec, grid = li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4)
-        phi, m = (li.simulate_paths(spec, grid, 2000, seed) for seed in (0, 1))
+        # independent paths with drift 1e5 and spread 1e-3: phi and dM have
+        # means from 2.5e4 to 7.5e4, where uncentred products (means near
+        # 1e9) cancel in both the covariance and its SE.  z must be the mean
+        # of the centred products over their own standard error.
+        phi, m = _drifted_pair()
         z = li.increment_independence_z(phi, m)
-        p, d = phi.values[:, 1:-1, 0], np.diff(m.values[:, 1:, 0], axis=1)
-        cov = (p * d).sum(axis=0) / 2000 - (p.sum(axis=0) / 2000) * (d.sum(axis=0) / 2000)
-        np.testing.assert_allclose(z[1:], cov / ens_mod._moments(p * d)[1], rtol=1e-3)
+        p, d = phi.values[:, :-1, 0], np.diff(m.values[:, :, 0], axis=1)
+        u = (p - p.mean(axis=0)) * (d - d.mean(axis=0))
+        # phi_0 is 0 on every path, so its centred products are exactly 0
+        assert z[0] == 0.0
+        se = u.std(axis=0, ddof=1) / np.sqrt(u.shape[0])
+        np.testing.assert_allclose(z[1:], u.mean(axis=0)[1:] / se[1:], rtol=1e-6)
+
+    def test_sign_does_not_depend_on_the_block_size(self, monkeypatch):
+        phi, m = _drifted_pair()
+        signs = []
+        for rows in (4096, 137):
+            monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+            signs.append(np.sign(li.increment_independence_z(phi, m)).tolist())
+        assert signs[0] == signs[1]
+
+    def test_look_ahead_on_drifted_paths_is_detected(self):
+        # phi_{t_i} = M_{t_{i+1}} covaries with dM_i by dM_i's variance
+        _, m = _drifted_pair()
+        ahead = np.concatenate([m.values[:, 1:], m.values[:, -1:]], axis=1)
+        z = li.increment_independence_z(m.with_values(ahead), m)
+        assert np.min(np.abs(z)) > 4
+
+
+def _drifted_pair():
+    """Independent drifted paths (2000 paths, 4 steps, seeds 0 and 1), as phi and M."""
+    spec, grid = li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4)
+    return tuple(li.simulate_paths(spec, grid, 2000, seed) for seed in (0, 1))
 
 
 class TestBochnerIntegral:
