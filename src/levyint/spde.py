@@ -15,11 +15,16 @@ exactly once information has propagated across the grid.
 
 Coefficient maps take (t, state) with state of shape (n_paths, dim) and must
 return the same shape; their Lipschitz constants are declared by the caller
-and spot-checked on random pairs.
+and spot-checked on random pairs.  A map must be pure and act row by row
+(one row per path): row i of its value depends on t and row i of state
+only.  A sweep calls the maps on blocks of paths, on one thread per CPU
+when the solve is large, and ``path_offset`` chunks call them on slices;
+both reproduce one call over all paths only for such a map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -31,6 +36,7 @@ from .ensembles import (
     PathEnsemble,
     TimeGrid,
     _pairing,
+    _run_blocks,
     ms_continuity_modulus,
 )
 from .errors import (
@@ -86,7 +92,15 @@ def pseudo_contractivity_bound(op: SpectralOperator) -> float:
 
 @dataclass(frozen=True)
 class SpdeProblem:
-    """Evolution problem: generator, initial state, coefficients, drivers."""
+    """Evolution problem: generator, initial state, coefficients, drivers.
+
+    ``alpha`` and each of ``sigmas`` map (t, state) to an array of the
+    state's shape (n_paths, dim); each must be pure and act row by row, one
+    row per path, since solvers call it on blocks of paths (see the module
+    docstring).  A problem with no ``alpha`` and only ``constant_map``
+    sigmas is state-free: its second Picard sweep would repeat the first,
+    so Picard reports that sweep's distance 0.0 without running it.
+    """
 
     operator: SpectralOperator
     h0: np.ndarray
@@ -257,9 +271,10 @@ def mild_solution_picard(
     reported, not raised.
 
     Memory scales as n_paths * n_points * dim: the iteration holds one
-    time-major solution and the driver increments, and the path-major
-    solution returned is a second copy.  Chunk large ensembles with
-    ``path_offset`` (per-path streams make chunked runs reproduce the
+    time-major solution and the driver increments, plus a drive and a gap
+    buffer of one step each (n_paths * dim, made once per window), and the
+    path-major solution returned is a second copy.  Chunk large ensembles
+    with ``path_offset`` (per-path streams make chunked runs reproduce the
     corresponding slice of a single large run).
     """
     solution, (report,) = mild_solution_restarted(
@@ -368,6 +383,34 @@ def _sweep(
         out[j + 1] = row
 
 
+# np.einsum sums a contiguous float64 array in pieces of _SQ_PIECE elements,
+# adding each piece's sum to its running total in order from 0.0 (checked by
+# test_piecewise_fold_is_einsum in tests/test_spde.py).  A path block that
+# starts on a piece boundary can therefore sum its own pieces, and the pieces
+# folded in path order give the einsum over all paths.
+_SQ_PIECE = 8192
+# pieces per path block, at least: a pooled block's step must release the
+# GIL for long enough to outweigh the Python work it holds it for
+_BLOCK_PIECES = 4
+
+
+def _piece_sums(gap: np.ndarray, out: np.ndarray) -> None:
+    """The sum of squares of each ``_SQ_PIECE``-element piece of ``gap``
+    (contiguous), in order, into ``out``."""
+    flat = gap.reshape(-1)
+    for i, a in enumerate(range(0, flat.size, _SQ_PIECE)):
+        piece = flat[a:a + _SQ_PIECE]
+        out[i] = np.einsum("i,i->", piece, piece)
+
+
+def _sq_norms(pieces: np.ndarray) -> np.ndarray:
+    """Fold each row of piece sums in order from 0.0, as np.einsum does."""
+    total = np.zeros(pieces.shape[0])
+    for column in pieces.T:
+        total += column
+    return total
+
+
 def _picard_window(
     problem: SpdeProblem,
     pts: np.ndarray,
@@ -383,6 +426,14 @@ def _picard_window(
     initial values.  ``vals`` is the only iterate held: it starts as the
     flow-only guess, and each sweep overwrites it row by row with the next
     iterate (``_sweep``), accumulating the sup-L2 iterate distance as it goes.
+
+    A sweep runs in path blocks, on the pool when the window is large (see
+    ``ensembles._run_blocks``).  Each path's recursion involves no other
+    path, since coefficient maps act row by row, and each block starts on a
+    ``_SQ_PIECE`` boundary, so the iterates and distances are those of one
+    sweep over all paths.  A state-free problem (no alpha, every sigma a
+    ``constant_map``) drives every sweep alike, so its second sweep would give
+    the first iterate again: it is not run, and its distance 0.0 is reported.
     """
     dts = np.diff(pts)
     mu = problem.operator.eigenvalues
@@ -394,26 +445,53 @@ def _picard_window(
     for j in range(pts.size):
         np.multiply(vals[0], flow[j], out=vals[j])
 
-    def drive(j: int) -> np.ndarray:
-        t_j, prev = float(pts[j]), vals[j]
-        d = np.zeros(vals.shape[1:])
-        if problem.alpha is not None:
-            d += problem.alpha(t_j, prev) * dts[j]
-        for sigma, inc in zip(problem.sigmas, increments):
-            d += sigma(t_j, prev) * inc[j][:, None]
-        return d
+    n_paths, dim = vals.shape[1:]
+    # rows per block: the fewest that hold a whole number of pieces, at least
+    # _BLOCK_PIECES of them
+    unit = _SQ_PIECE // math.gcd(_SQ_PIECE, dim)
+    rows = unit * -(-_BLOCK_PIECES * _SQ_PIECE // (unit * dim))
+    pieces = np.zeros((pts.size, -(-n_paths * dim // _SQ_PIECE)))
+    # each block's buffers are made here, not on a pool thread, and reused
+    # by every step and sweep
+    blocks = []
+    for r0 in range(0, n_paths, rows):
+        shape = (min(rows, n_paths - r0), dim)
+        blocks.append((r0, np.empty(shape), np.empty(shape)))
 
+    def sweep_block(block) -> None:
+        r0, d, gap = block
+        r1 = r0 + len(d)
+        out, incs = vals[:, r0:r1], [inc[:, r0:r1] for inc in increments]
+        sums = pieces[:, r0 * dim // _SQ_PIECE:]
+
+        def drive(j: int) -> np.ndarray:
+            t_j, prev = float(pts[j]), out[j]
+            d.fill(0.0)
+            if problem.alpha is not None:
+                np.add(d, problem.alpha(t_j, prev) * dts[j], out=d)
+            for sigma, inc in zip(problem.sigmas, incs):
+                np.add(d, sigma(t_j, prev) * inc[j][:, None], out=d)
+            return d
+
+        for k, row in _sweep(decay, out, drive):
+            np.subtract(row, out[k], out=gap)
+            _piece_sums(gap, sums[k])
+
+    state_free = problem.alpha is None and all(type(s) is constant_map for s in problem.sigmas)
     distances: list[float] = []
     for _ in range(max_iter):
-        sq_gap = np.zeros(pts.size)
-        for k, row in _sweep(decay, vals, drive):
-            gap = row - vals[k]
-            sq_gap[k] = np.einsum("pd,pd->", gap, gap)
-        d = float(np.sqrt(np.max(sq_gap) / vals.shape[1]))
+        # the gate reads a window as pts.size - 1 rows (steps) of
+        # n_paths * dim values: per step a block holds the GIL for a fixed
+        # time and releases it over at least _BLOCK_PIECES pieces
+        _run_blocks(sweep_block, blocks, pts.size - 1, n_paths * dim)
+        d = float(np.sqrt(np.max(_sq_norms(pieces)) / n_paths))
         if not np.isfinite(d):
             raise NumericError("Picard iterate diverged to NaN or overflow")
         distances.append(d)
         if d < tol:
+            break
+        if state_free and max_iter > 1:
+            distances.append(0.0)
             break
     return PicardReport(distances=tuple(distances), tolerance=tol)
 

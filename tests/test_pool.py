@@ -176,3 +176,71 @@ def test_forked_child_makes_its_own_pool(pooled):
         child.join()
         pytest.fail("the forked child's pooled call did not finish")
     assert child.exitcode == 0
+
+
+def _heat(dim, alpha, sigma, driver=li.Brownian(volatility=1.0)):
+    """Linear drift and noise on ``dim`` heat modes, started from the first mode."""
+    return li.SpdeProblem(operator=li.heat_operator(dim), h0=np.eye(dim)[0],
+                          alpha=li.scaled_identity(alpha), alpha_lipschitz=alpha,
+                          sigmas=(li.scaled_identity(sigma),), sigma_lipschitz=(sigma,),
+                          drivers=(driver,))
+
+
+_TWO_DRIVERS = li.SpdeProblem(
+    operator=li.heat_operator(5), h0=np.array([1.0, -0.5, 0.25, 0.0, 2.0]),
+    sigmas=(li.constant_map([1.0, 0.5, 0.25, 2.0, 1.0]), li.constant_map([0.3, -0.2, 0.1, 0.0, 0.5])),
+    sigma_lipschitz=(0.0, 0.0), drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)))
+
+
+class TestPooledPicard:
+    # (problem, paths, steps, n_blocks, path_offset): each spans two or more
+    # path blocks (4096 rows at ten modes, 8192 at three or five)
+    @pytest.mark.parametrize("problem, n_paths, steps, n_blocks, offset", [
+        (_heat(10, 0.25, 0.25), 10_000, 64, 1, 0),
+        (_heat(10, 0.25, 0.25), 9000, 37, 3, 17),
+        (_heat(3, 4.0, 0.5, li.CompensatedPoisson(rate=1.0)), 20_000, 64, 1, 0),
+        (_TWO_DRIVERS, 9000, 100, 2, 17),
+    ], ids=["readme", "readme_offset", "stiff_dim3", "two_drivers"])
+    def test_bit_identical(self, pooled, problem, n_paths, steps, n_blocks, offset):
+        def solve():
+            sol, reps = li.mild_solution_restarted(problem, li.TimeGrid.uniform(1.0, steps), n_paths, 21,
+                                                   tol=1e-12, max_iter=4, n_blocks=n_blocks,
+                                                   path_offset=offset)
+            return sol.values, [r.distances for r in reps]
+
+        (serial, serial_d), (out, out_d) = _both(pooled, solve)
+        assert ensembles._pool is not None
+        _same_bits(serial, out)
+        assert (np.signbit(serial) == np.signbit(out)).all()
+        assert serial_d == out_d
+
+    def test_diverging_problem_raises_the_serial_error(self, pooled):
+        # superlinear drift: the iterates overflow within a few sweeps
+        problem = li.SpdeProblem(operator=li.SpectralOperator([0.0]), h0=np.array([1.0]),
+                                 alpha=lambda t, r: r**3, alpha_lipschitz=1e12)
+        messages = []
+        for on in (False, True):
+            pooled(on)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 16), 9000, 6,
+                                        tol=1e-6, max_iter=12)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_map_raising_in_the_second_block_raises_the_serial_error(self, pooled):
+        # 4500 paths at ten modes are blocks of 4096 and 404 rows; the map
+        # fails on the second only
+        def sigma(t, state):
+            if len(state) == 404:
+                raise ValueError(f"rejected {len(state)} rows at t={t}")
+            return 0.25 * state
+
+        problem = li.SpdeProblem(operator=li.heat_operator(10), h0=np.eye(10)[0],
+                                 sigmas=(sigma,), sigma_lipschitz=(0.25,), drivers=(li.Brownian(),))
+        messages = []
+        for on in (False, True):
+            pooled(on)
+            with pytest.raises(ValueError) as err:
+                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 32), 4500, 8, max_iter=3)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "rejected 404 rows at t=0.0"

@@ -1,10 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import levyint as li
+from levyint import spde
 from levyint.errors import (
     ConsistencyError,
     DomainError,
@@ -46,6 +48,19 @@ def _stiff_problem():
         sigmas=(li.scaled_identity(0.5),),
         sigma_lipschitz=(0.5,),
         drivers=(li.CompensatedPoisson(rate=1.0),),
+    )
+
+
+def _two_driver_problem():
+    """State-free: five modes, a nonzero start, and two drivers with per-mode
+    constant noise."""
+    return li.SpdeProblem(
+        operator=li.heat_operator(5),
+        h0=np.array([1.0, -0.5, 0.25, 0.0, 2.0]),
+        sigmas=(li.constant_map([1.0, 0.5, 0.25, 2.0, 1.0]),
+                li.constant_map([0.3, -0.2, 0.1, 0.0, 0.5])),
+        sigma_lipschitz=(0.0, 0.0),
+        drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)),
     )
 
 
@@ -436,7 +451,7 @@ class TestPicardGoldens:
     steps, a tol the first sweep meets, and a state-free problem."""
 
     _PROBLEMS = {"readme": _readme_problem, "stiff": _stiff_problem,
-                 "linear": lambda: _linear_problem(4)}
+                 "linear": lambda: _linear_problem(4), "two_drivers": _two_driver_problem}
 
     @pytest.mark.parametrize("name, steps, max_iter, n_blocks, tol, expect", [
         ("readme", 37, 1, 1, 1e-12, "4cb1ef80ef506485b2e3569e2e3c1d314872b76e8025f34412e9d2255ca453de"),
@@ -460,6 +475,80 @@ class TestPicardGoldens:
             tol=tol, max_iter=max_iter, n_blocks=n_blocks,
         )
         assert _digest(sol.values, *(r.distances for r in reps)) == expect
+
+    # Above one aligned path block (4096 rows at ten modes, 8192 at three or
+    # five), recorded while every sweep ran over all paths at once.
+    @pytest.mark.parametrize("name, paths, steps, offset, max_iter, n_blocks, tol, expect", [
+        ("readme", 9000, 37, 0, 3, 1, 1e-12, "c01a20c2a45473f2f20cc1de3d218b6c88c66d18ab0512c627670128ca618b7a"),
+        ("readme", 9000, 37, 0, 3, 3, 1e-12, "fa8238a675e4389e0d03b9cd4778e26393b3fa34a9c67d4759cf04f2abf89cac"),
+        ("stiff", 20_000, 37, 0, 3, 1, 1e-8, "e6548c093fc00ac2da8ee7bf66e6809a5afe7950af530f1a8c1a859064beb162"),
+        ("two_drivers", 9000, 100, 17, 1, 2, 1e-12, "febef77adbf449bdd27013898c08e95ea25299ca49b2f700310034bccff04085"),
+        ("two_drivers", 9000, 100, 17, 2, 2, 1e-12, "4025551d1a5df6352c25bb21333f1f47fef08f555ba7021578d3f959d866cdf7"),
+        ("two_drivers", 9000, 100, 17, 5, 2, 1e-12, "4025551d1a5df6352c25bb21333f1f47fef08f555ba7021578d3f959d866cdf7"),
+        # the first sweep meets tol
+        ("two_drivers", 9000, 100, 17, 5, 2, 1e3, "febef77adbf449bdd27013898c08e95ea25299ca49b2f700310034bccff04085"),
+    ])
+    def test_above_one_aligned_block(self, name, paths, steps, offset, max_iter, n_blocks, tol, expect):
+        sol, reps = li.mild_solution_restarted(
+            self._PROBLEMS[name](), li.TimeGrid.uniform(1.0, steps), paths, 7,
+            tol=tol, max_iter=max_iter, n_blocks=n_blocks, path_offset=offset,
+        )
+        assert _digest(sol.values, *(r.distances for r in reps)) == expect
+
+
+class TestSweepDistance:
+    """The per-step squared gap is summed in _SQ_PIECE-element pieces, each
+    path block its own, and the piece sums folded in path order.  That is
+    np.einsum over the whole row only while numpy sums in pieces of that
+    size; if it ever stops doing so, this test fails."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 10, 16])
+    @pytest.mark.parametrize("n_paths", [4095, 4096, 4097, 8191, 8192, 8193])
+    def test_piecewise_fold_is_einsum(self, dim, n_paths):
+        rng = np.random.default_rng([dim, n_paths])
+        gap = rng.normal(size=(n_paths, dim)) * rng.lognormal(size=(n_paths, 1))
+        pieces = np.empty((1, -(-gap.size // spde._SQ_PIECE)))
+        spde._piece_sums(gap, pieces[0])
+        assert spde._sq_norms(pieces)[0] == np.einsum("pd,pd->", gap, gap)
+
+
+class TestSweepCount:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The list of sweeps run, one entry per ``_sweep`` call."""
+        calls = []
+        sweep = spde._sweep
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(spde, "_sweep", counted)
+        return calls
+
+    def test_state_free_problem_sweeps_once(self, sweeps):
+        # a second sweep would reproduce the first iterate bit for bit
+        sol, reps = li.mild_solution_restarted(_two_driver_problem(), li.TimeGrid.uniform(1.0, 64),
+                                               500, 3, tol=1e-12, max_iter=5, n_blocks=3)
+        assert len(sweeps) == 3
+        assert all(r.distances[1:] == (0.0,) and r.distances[0] > 0 and r.converged for r in reps)
+
+    def test_state_is_decided_by_type(self, sweeps):
+        # a constant noise that is not a constant_map is swept again
+        prob = _linear_problem(4)
+        lam = replace(prob, sigmas=(lambda t, state: np.broadcast_to(1.0, state.shape),))
+        grid = li.TimeGrid.uniform(1.0, 64)
+        _, rep = li.mild_solution_picard(prob, grid, 200, 3, tol=1e-12, max_iter=5)
+        assert len(sweeps) == 1
+        _, rep_lam = li.mild_solution_picard(lam, grid, 200, 3, tol=1e-12, max_iter=5)
+        assert len(sweeps) == 3
+        assert rep_lam == rep
+
+    @pytest.mark.parametrize("max_iter, tol, n_sweeps", [(3, 1e-12, 3), (15, 1e-4, 6), (5, 1e3, 1)])
+    def test_state_dependent_sweep_counts(self, sweeps, max_iter, tol, n_sweeps):
+        _, rep = li.mild_solution_picard(_readme_problem(), li.TimeGrid.uniform(1.0, 64), 200, 1,
+                                         tol=tol, max_iter=max_iter)
+        assert len(sweeps) == rep.iterations == n_sweeps
 
 
 class TestSolverVariance:
