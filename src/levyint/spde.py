@@ -447,16 +447,18 @@ def _picard_window(
 
     n_paths, dim = vals.shape[1:]
     # rows per block: the fewest that hold a whole number of pieces, at least
-    # _BLOCK_PIECES of them
+    # _BLOCK_PIECES of them; the last block takes the rest, so it holds from
+    # half a block to one and a half (a thread with next to no rows to sweep
+    # only adds waiting for the GIL)
     unit = _SQ_PIECE // math.gcd(_SQ_PIECE, dim)
     rows = unit * -(-_BLOCK_PIECES * _SQ_PIECE // (unit * dim))
+    starts = [i * rows for i in range(max(1, round(n_paths / rows)))]
     pieces = np.zeros((pts.size, -(-n_paths * dim // _SQ_PIECE)))
     # each block's buffers are made here, not on a pool thread, and reused
     # by every step and sweep
     blocks = []
-    for r0 in range(0, n_paths, rows):
-        shape = (min(rows, n_paths - r0), dim)
-        blocks.append((r0, np.empty(shape), np.empty(shape)))
+    for r0, r1 in zip(starts, starts[1:] + [n_paths]):
+        blocks.append((r0, np.empty((r1 - r0, dim)), np.empty((r1 - r0, dim))))
 
     def sweep_block(block) -> None:
         r0, d, gap = block

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import levyint as li
-from levyint import ensembles
+from levyint import ensembles, spde
 from levyint.errors import NumericError
 
 _SPECS = {
@@ -194,14 +194,22 @@ _TWO_DRIVERS = li.SpdeProblem(
 
 class TestPooledPicard:
     # (problem, paths, steps, n_blocks, path_offset): each spans two or more
-    # path blocks (4096 rows at ten modes, 8192 at three or five)
+    # path blocks (of 4096 rows at ten modes, 8192 at five and 16384 at three)
     @pytest.mark.parametrize("problem, n_paths, steps, n_blocks, offset", [
         (_heat(10, 0.25, 0.25), 10_000, 64, 1, 0),
         (_heat(10, 0.25, 0.25), 9000, 37, 3, 17),
-        (_heat(3, 4.0, 0.5, li.CompensatedPoisson(rate=1.0)), 20_000, 64, 1, 0),
-        (_TWO_DRIVERS, 9000, 100, 2, 17),
+        (_heat(3, 4.0, 0.5, li.CompensatedPoisson(rate=1.0)), 40_000, 64, 1, 0),
+        (_TWO_DRIVERS, 13_000, 100, 2, 17),
     ], ids=["readme", "readme_offset", "stiff_dim3", "two_drivers"])
-    def test_bit_identical(self, pooled, problem, n_paths, steps, n_blocks, offset):
+    def test_bit_identical(self, pooled, monkeypatch, problem, n_paths, steps, n_blocks, offset):
+        blocks_per_sweep = []
+
+        def run_blocks(fn, blocks, *gate):
+            blocks_per_sweep.append(len(blocks))
+            return ensembles._run_blocks(fn, blocks, *gate)
+
+        monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+
         def solve():
             sol, reps = li.mild_solution_restarted(problem, li.TimeGrid.uniform(1.0, steps), n_paths, 21,
                                                    tol=1e-12, max_iter=4, n_blocks=n_blocks,
@@ -209,7 +217,7 @@ class TestPooledPicard:
             return sol.values, [r.distances for r in reps]
 
         (serial, serial_d), (out, out_d) = _both(pooled, solve)
-        assert ensembles._pool is not None
+        assert min(blocks_per_sweep) >= 2
         _same_bits(serial, out)
         assert (np.signbit(serial) == np.signbit(out)).all()
         assert serial_d == out_d
@@ -228,10 +236,10 @@ class TestPooledPicard:
         assert messages[0] == messages[1]
 
     def test_map_raising_in_the_second_block_raises_the_serial_error(self, pooled):
-        # 4500 paths at ten modes are blocks of 4096 and 404 rows; the map
+        # 6500 paths at ten modes are blocks of 4096 and 2404 rows; the map
         # fails on the second only
         def sigma(t, state):
-            if len(state) == 404:
+            if len(state) == 2404:
                 raise ValueError(f"rejected {len(state)} rows at t={t}")
             return 0.25 * state
 
@@ -241,6 +249,6 @@ class TestPooledPicard:
         for on in (False, True):
             pooled(on)
             with pytest.raises(ValueError) as err:
-                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 32), 4500, 8, max_iter=3)
+                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 32), 6500, 8, max_iter=3)
             messages.append(str(err.value))
-        assert messages[0] == messages[1] == "rejected 404 rows at t=0.0"
+        assert messages[0] == messages[1] == "rejected 2404 rows at t=0.0"

@@ -476,17 +476,17 @@ class TestPicardGoldens:
         )
         assert _digest(sol.values, *(r.distances for r in reps)) == expect
 
-    # Above one aligned path block (4096 rows at ten modes, 8192 at three or
-    # five), recorded while every sweep ran over all paths at once.
+    # Two or more path blocks (of 4096 rows at ten modes, 8192 at five and
+    # 16384 at three), recorded while every sweep ran over all paths at once.
     @pytest.mark.parametrize("name, paths, steps, offset, max_iter, n_blocks, tol, expect", [
         ("readme", 9000, 37, 0, 3, 1, 1e-12, "c01a20c2a45473f2f20cc1de3d218b6c88c66d18ab0512c627670128ca618b7a"),
         ("readme", 9000, 37, 0, 3, 3, 1e-12, "fa8238a675e4389e0d03b9cd4778e26393b3fa34a9c67d4759cf04f2abf89cac"),
-        ("stiff", 20_000, 37, 0, 3, 1, 1e-8, "e6548c093fc00ac2da8ee7bf66e6809a5afe7950af530f1a8c1a859064beb162"),
-        ("two_drivers", 9000, 100, 17, 1, 2, 1e-12, "febef77adbf449bdd27013898c08e95ea25299ca49b2f700310034bccff04085"),
-        ("two_drivers", 9000, 100, 17, 2, 2, 1e-12, "4025551d1a5df6352c25bb21333f1f47fef08f555ba7021578d3f959d866cdf7"),
-        ("two_drivers", 9000, 100, 17, 5, 2, 1e-12, "4025551d1a5df6352c25bb21333f1f47fef08f555ba7021578d3f959d866cdf7"),
+        ("stiff", 40_000, 37, 0, 3, 1, 1e-8, "3090317cd33b6ec938d8e7dbb50701c940f884cb414243fb7ef47f726508410f"),
+        ("two_drivers", 13_000, 100, 17, 1, 2, 1e-12, "76f236a0b1c8801db7a6a0bed8279527fe1ae23df8642bf68a6f9da8e9ca4daa"),
+        ("two_drivers", 13_000, 100, 17, 2, 2, 1e-12, "f9a65e0e0170db0ea898e891b5a13e05f5b376ff4a581878493469d0ca60dcaa"),
+        ("two_drivers", 13_000, 100, 17, 5, 2, 1e-12, "f9a65e0e0170db0ea898e891b5a13e05f5b376ff4a581878493469d0ca60dcaa"),
         # the first sweep meets tol
-        ("two_drivers", 9000, 100, 17, 5, 2, 1e3, "febef77adbf449bdd27013898c08e95ea25299ca49b2f700310034bccff04085"),
+        ("two_drivers", 13_000, 100, 17, 5, 2, 1e3, "76f236a0b1c8801db7a6a0bed8279527fe1ae23df8642bf68a6f9da8e9ca4daa"),
     ])
     def test_above_one_aligned_block(self, name, paths, steps, offset, max_iter, n_blocks, tol, expect):
         sol, reps = li.mild_solution_restarted(
