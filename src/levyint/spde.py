@@ -447,9 +447,9 @@ def _picard_window(
 
     n_paths, dim = vals.shape[1:]
     # rows per block: the fewest that hold a whole number of pieces, at least
-    # _BLOCK_PIECES of them; the last block takes the rest, so it holds from
-    # half a block to one and a half (a thread with next to no rows to sweep
-    # only adds waiting for the GIL)
+    # _BLOCK_PIECES of them.  The last block takes the rest, half a block to
+    # one and a half unless it is the only one: a thread with next to no rows
+    # to sweep would only add waiting for the GIL.
     unit = _SQ_PIECE // math.gcd(_SQ_PIECE, dim)
     rows = unit * -(-_BLOCK_PIECES * _SQ_PIECE // (unit * dim))
     starts = [i * rows for i in range(max(1, round(n_paths / rows)))]
@@ -461,19 +461,19 @@ def _picard_window(
         blocks.append((r0, np.empty((r1 - r0, dim)), np.empty((r1 - r0, dim))))
 
     def sweep_block(block) -> None:
-        r0, d, gap = block
-        r1 = r0 + len(d)
+        r0, buf, gap = block
+        r1 = r0 + len(buf)
         out, incs = vals[:, r0:r1], [inc[:, r0:r1] for inc in increments]
         sums = pieces[:, r0 * dim // _SQ_PIECE:]
 
         def drive(j: int) -> np.ndarray:
             t_j, prev = float(pts[j]), out[j]
-            d.fill(0.0)
+            buf.fill(0.0)
             if problem.alpha is not None:
-                np.add(d, problem.alpha(t_j, prev) * dts[j], out=d)
+                np.add(buf, problem.alpha(t_j, prev) * dts[j], out=buf)
             for sigma, inc in zip(problem.sigmas, incs):
-                np.add(d, sigma(t_j, prev) * inc[j][:, None], out=d)
-            return d
+                np.add(buf, sigma(t_j, prev) * inc[j][:, None], out=buf)
+            return buf
 
         for k, row in _sweep(decay, out, drive):
             np.subtract(row, out[k], out=gap)

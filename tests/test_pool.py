@@ -223,14 +223,15 @@ class TestPooledPicard:
         assert serial_d == out_d
 
     def test_diverging_problem_raises_the_serial_error(self, pooled):
-        # superlinear drift: the iterates overflow within a few sweeps
+        # superlinear drift: the iterates overflow within a few sweeps; 50000
+        # paths at one mode are blocks of 32768 and 17232 rows
         problem = li.SpdeProblem(operator=li.SpectralOperator([0.0]), h0=np.array([1.0]),
                                  alpha=lambda t, r: r**3, alpha_lipschitz=1e12)
         messages = []
         for on in (False, True):
             pooled(on)
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
-                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 16), 9000, 6,
+                li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 16), 50_000, 6,
                                         tol=1e-6, max_iter=12)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
