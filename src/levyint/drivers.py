@@ -17,11 +17,13 @@ identical (spec, grid, n_paths, seed), and ensembles simulated in chunks with
 Only the draws run path by path.  Everything after them runs over all paths
 in small row blocks: Brownian increments are scaled and summed a block at a
 time, and jumps become grid values through the one function that also
-serves ``JumpRecord.values_at``.  A jump-driven ensemble keeps its jumps as
-one read-only ``JumpTable``: an array of times, one of sizes and the bounds
-of each path's run.  Each path's numbers are formed by the same operations
-in the same order as a path on its own, so output does not depend on the
-block size.
+serves ``JumpRecord.values_at``.  Jump times are drawn one scalar at a time
+and appended, path after path, to one flat array of doubles, with one bound
+per path; a compound path's sizes are drawn right after its times.  A
+jump-driven ensemble keeps its jumps as one read-only ``JumpTable``: an
+array of times, one of sizes and the bounds of each path's run.  Each
+path's numbers are formed by the same operations in the same order as a
+path on its own, so output does not depend on the block size.
 
 A large call fills its blocks on one thread per CPU
 (``ensembles._run_blocks``): a Brownian block draws from a generator of its
@@ -35,6 +37,7 @@ same bits on one thread or many.
 from __future__ import annotations
 
 import abc
+import array
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
@@ -237,26 +240,16 @@ def _path_rngs(key: np.ndarray, offset: int, n: int) -> Iterator[np.random.Gener
     """One generator, set to the start of each path's stream in turn."""
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
-    state = bitgen.state
+    state = bitgen.state  # setting the state leaves this dict as it is
+    # an empty buffer and no carried 32-bit half: each stream starts as a new Philox would
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
     offset = int(offset)
     for path in range(offset, offset + n):
         # counter word 2 holds the absolute path index; words 0-1 advance
-        # within the path, so streams never overlap.  An empty buffer and no
-        # carried 32-bit half make the stream start as a new Philox would.
+        # within the path, so streams never overlap
         state["state"]["counter"] = [0, 0, path, 0]
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
         bitgen.state = state
         yield rng
-
-
-def _exact_jump_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Jump instants in (0, T] via exponential inter-arrival times."""
-    times = []
-    t = rng.exponential(1.0 / rate)
-    while t <= horizon:
-        times.append(t)
-        t += rng.exponential(1.0 / rate)
-    return np.asarray(times)
 
 
 # rows per fill block: 256 rows x 1001 points of float64 is 2 MiB per
@@ -307,15 +300,20 @@ def _path_drift(spec: LevySpec) -> float:
 def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
                offset: int) -> JumpTable:
     compound = isinstance(spec, CompoundPoisson)
-    times, sizes = [], []
+    horizon, scale = grid.horizon, 1.0 / spec.rate
+    # jump instants in (0, T] from exponential inter-arrival times, in one
+    # flat array of doubles: 8 bytes a jump, and no float objects kept
+    times, bounds, sizes = array.array("d"), [0], []
     for rng in _path_rngs(key, offset, values.shape[0]):
-        t = _exact_jump_times(rng, spec.rate, grid.horizon)
-        times.append(t)
+        draw = rng.exponential
+        t = draw(scale)
+        while t <= horizon:
+            times.append(t)
+            t += draw(scale)
         if compound:
-            sizes.append(spec.jump_law.sample(rng, t.size))
-    bounds = np.cumsum([0, *(t.size for t in times)])
-    jumps = JumpTable(np.concatenate(times), np.concatenate(sizes) if compound else np.ones(bounds[-1]),
-                      bounds)
+            sizes.append(spec.jump_law.sample(rng, len(times) - bounds[-1]))
+        bounds.append(len(times))
+    jumps = JumpTable(times, np.concatenate(sizes) if compound else np.ones(len(times)), bounds)
     drift = _path_drift(spec) * grid.points
 
     def fill(a: int, block: np.ndarray) -> None:

@@ -26,6 +26,7 @@ from .errors import (
     EmptyEnsembleError,
     GridError,
     MissingJumpDataError,
+    NumericError,
 )
 
 if TYPE_CHECKING:
@@ -426,15 +427,18 @@ def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
 def _moments(buf: np.ndarray) -> tuple:
     """Mean, its SE, ddof=1 variance and its SE (of the mean squared deviation)
     along the first axis of the float64 ``buf``, spreads 0 for one sample:
-    the bits of np.mean, np.var and np.std, in three passes that overwrite ``buf``."""
+    the bits of np.mean, np.var and np.std, in three passes that overwrite ``buf``.
+    ``NumericError`` unless all four are finite (a non-finite sample makes the mean so)."""
     n = buf.shape[0]
-    mean = np.add.reduce(buf) / n
-    if n < 2:
-        return (mean, *[np.zeros_like(mean)] * 3)
-    ss = np.add.reduce(np.square(np.subtract(buf, mean, out=buf), out=buf))
-    ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
-    var, var4 = ss / (n - 1), ss4 / (n - 1)
-    return mean, np.sqrt(var) / np.sqrt(n), var, np.sqrt(var4) / np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(buf) / n
+        ss = np.add.reduce(np.square(np.subtract(buf, mean, out=buf), out=buf))
+        ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
+        var, var4 = ss / max(n - 1, 1), ss4 / max(n - 1, 1)  # one sample's sums are 0
+        stats = (mean, np.sqrt(var) / np.sqrt(n), var, np.sqrt(var4) / np.sqrt(n))
+    if not all(np.isfinite(x).all() for x in stats):
+        raise NumericError("samples, or their mean or spread, are not finite (NaN or overflow)")
+    return stats
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:

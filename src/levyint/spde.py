@@ -31,21 +31,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .drivers import LevySpec, _check_driver, child_seed, simulate_paths
-from .ensembles import (
-    ModulusReport,
-    PathEnsemble,
-    TimeGrid,
-    _pairing,
-    _run_blocks,
-    ms_continuity_modulus,
-)
-from .errors import (
-    AdaptednessError,
-    ConsistencyError,
-    DomainError,
-    NumericError,
-    ParameterError,
-)
+from .ensembles import ModulusReport, PathEnsemble, TimeGrid, _pairing, _run_blocks, ms_continuity_modulus
+from .errors import AdaptednessError, ConsistencyError, DomainError, NumericError, ParameterError
 
 CoefficientMap = Callable[[float, np.ndarray], np.ndarray]
 
@@ -176,8 +163,11 @@ def spot_check_lipschitz(
         y = rng.normal(size=(n_pairs, problem.dim))
         t = rng.uniform(0.0, horizon, size=n_pairs)
         for i in range(n_pairs):
-            lhs = np.linalg.norm(f(t[i], x[i : i + 1]) - f(t[i], y[i : i + 1]))
-            rhs = L * np.linalg.norm(x[i] - y[i])
+            with np.errstate(all="ignore"):
+                lhs = np.linalg.norm(f(t[i], x[i : i + 1]) - f(t[i], y[i : i + 1]))
+                rhs = L * np.linalg.norm(x[i] - y[i])
+            if not np.isfinite(lhs):  # a value, or the gap between two, is not finite
+                raise ParameterError(f"{name} is not finite, or too large to compare, at t={t[i]:.6g}")
             if lhs > rhs * (1.0 + tol) + tol:
                 raise ParameterError(
                     f"declared Lipschitz constant {L} for {name} violated: {lhs:.3e} > {rhs:.3e}"
@@ -271,11 +261,11 @@ def mild_solution_picard(
     reported, not raised.
 
     Memory scales as n_paths * n_points * dim: the iteration holds one
-    time-major solution and the driver increments, plus a drive and a gap
-    buffer of one step each (n_paths * dim, made once per window), and the
-    path-major solution returned is a second copy.  Chunk large ensembles
-    with ``path_offset`` (per-path streams make chunked runs reproduce the
-    corresponding slice of a single large run).
+    time-major solution and the driver increments, plus a drive, a product
+    and a gap buffer of one step each (n_paths * dim, made once per window),
+    and the path-major solution returned is a second copy.  Chunk large
+    ensembles with ``path_offset`` (per-path streams make chunked runs
+    reproduce the corresponding slice of a single large run).
     """
     solution, (report,) = mild_solution_restarted(
         problem, grid, n_paths, seed, tol=tol, max_iter=max_iter, n_blocks=1,
@@ -396,11 +386,15 @@ _BLOCK_PIECES = 4
 
 def _piece_sums(gap: np.ndarray, out: np.ndarray) -> None:
     """The sum of squares of each ``_SQ_PIECE``-element piece of ``gap``
-    (contiguous), in order, into ``out``."""
+    (contiguous), in order, into ``out``: the whole pieces in one einsum call,
+    a row each, then the shorter last piece if there is one."""
     flat = gap.reshape(-1)
-    for i, a in enumerate(range(0, flat.size, _SQ_PIECE)):
-        piece = flat[a:a + _SQ_PIECE]
-        out[i] = np.einsum("i,i->", piece, piece)
+    whole = flat.size // _SQ_PIECE
+    body = flat[:whole * _SQ_PIECE].reshape(whole, _SQ_PIECE)
+    np.einsum("ij,ij->i", body, body, out=out[:whole])
+    if whole * _SQ_PIECE < flat.size:
+        tail = flat[whole * _SQ_PIECE:]
+        out[whole] = np.einsum("i,i->", tail, tail)
 
 
 def _sq_norms(pieces: np.ndarray) -> np.ndarray:
@@ -431,9 +425,12 @@ def _picard_window(
     ``ensembles._run_blocks``).  Each path's recursion involves no other
     path, since coefficient maps act row by row, and each block starts on a
     ``_SQ_PIECE`` boundary, so the iterates and distances are those of one
-    sweep over all paths.  A state-free problem (no alpha, every sigma a
-    ``constant_map``) drives every sweep alike, so its second sweep would give
-    the first iterate again: it is not run, and its distance 0.0 is reported.
+    sweep over all paths.  Each block has a drive, a product and a gap
+    buffer of one step, made once per window, so a step allocates only what
+    the coefficient maps return.  A state-free problem (no alpha, every
+    sigma a ``constant_map``) drives every sweep alike, so its second sweep
+    would give the first iterate again: it is not run, and its distance 0.0
+    is reported.
     """
     dts = np.diff(pts)
     mu = problem.operator.eigenvalues
@@ -454,25 +451,24 @@ def _picard_window(
     rows = unit * -(-_BLOCK_PIECES * _SQ_PIECE // (unit * dim))
     starts = [i * rows for i in range(max(1, round(n_paths / rows)))]
     pieces = np.zeros((pts.size, -(-n_paths * dim // _SQ_PIECE)))
-    # each block's buffers are made here, not on a pool thread, and reused
-    # by every step and sweep
-    blocks = []
-    for r0, r1 in zip(starts, starts[1:] + [n_paths]):
-        blocks.append((r0, np.empty((r1 - r0, dim)), np.empty((r1 - r0, dim))))
+    # each block's drive, product and gap buffers are made here, not on a
+    # pool thread, and reused by every step and sweep
+    blocks = [(r0, *np.empty((3, r1 - r0, dim))) for r0, r1 in zip(starts, starts[1:] + [n_paths])]
 
     def sweep_block(block) -> None:
-        r0, buf, gap = block
+        r0, buf, tmp, gap = block
         r1 = r0 + len(buf)
         out, incs = vals[:, r0:r1], [inc[:, r0:r1] for inc in increments]
         sums = pieces[:, r0 * dim // _SQ_PIECE:]
 
         def drive(j: int) -> np.ndarray:
+            # each term is formed in tmp and added to buf, the first to 0.0
             t_j, prev = float(pts[j]), out[j]
             buf.fill(0.0)
             if problem.alpha is not None:
-                np.add(buf, problem.alpha(t_j, prev) * dts[j], out=buf)
+                np.add(buf, np.multiply(problem.alpha(t_j, prev), dts[j], out=tmp), out=buf)
             for sigma, inc in zip(problem.sigmas, incs):
-                np.add(buf, sigma(t_j, prev) * inc[j][:, None], out=buf)
+                np.add(buf, np.multiply(sigma(t_j, prev), inc[j][:, None], out=tmp), out=buf)
             return buf
 
         for k, row in _sweep(decay, out, drive):

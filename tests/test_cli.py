@@ -620,6 +620,35 @@ class TestNoPassWithoutEvidence:
         assert json.loads((tmp_path / f"{stem}.manifest.json").read_text())["passed"] is False
 
 
+class TestNonFiniteEvidence:
+    """Samples or statistics past the float range are a numeric failure
+    (exit 3), and a coefficient map that overflows when spot-checked is a
+    parameter error (exit 2): one line on stderr, no warning, no verdict.
+    Every warning is an error under pytest, so a warning would fail these."""
+
+    _HUGE = {"driver": {"kind": "brownian"}, "grid": {"horizon": 1e308, "steps": 4}, "paths": 10}
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("integrate", {"integrand": "driver"}),  # once passed on an infinite SE
+        ("simulate", {}),
+        ("isometry", {"integrand": "driver"}),
+    ])
+    def test_overflowed_statistic_is_a_numeric_failure(self, tmp_path, capsys, kind, extra):
+        cfg = {**self._HUGE, **extra, "out": str(tmp_path)}
+        assert main([kind, "--config", _write(tmp_path, "huge.json", cfg)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ") and "not finite" in err[0]
+        assert not list(tmp_path.glob("*.manifest.json"))
+
+    def test_overflowing_map_is_not_read_as_a_broken_constant(self, tmp_path, capsys):
+        cfg = _small_configs(tmp_path)["spde"]
+        cfg = {**cfg, "spde": {**cfg["spde"], "alpha": {"kind": "linear", "coefficient": 1e308}}}
+        assert main(["spde", "--config", _write(tmp_path, "huge_alpha.json", cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: alpha is not finite")
+        assert "violated" not in err[0]
+
+
 class TestExitCodes:
     def test_negative_rate_is_config_error(self, tmp_path):
         cfg = {"seed": 1, "paths": 10, "out": str(tmp_path),

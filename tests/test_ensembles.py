@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import levyint as li
-from levyint import drivers
 from levyint.drivers import reconstruction_residual
 from levyint.errors import (
     ConsistencyError,
     GridError,
     MissingJumpDataError,
+    NumericError,
 )
 
 
@@ -151,6 +151,20 @@ class TestContinuityModulus:
         assert np.all((rep.standard_errors > 1e-5) & (rep.standard_errors < 1.2e-5))
 
 
+class TestMoments:
+    def test_one_sample_has_zero_spreads(self):
+        mean, *spreads = li.ensembles._moments(np.array([[2.5, -1.0]]))
+        assert mean.tolist() == [2.5, -1.0] and all(s.tolist() == [0.0, 0.0] for s in spreads)
+
+    @pytest.mark.parametrize("samples", [[1.0, np.inf, 2.0], [1.0, np.nan], [-np.inf, np.inf],
+                                         [1e308, 1e308], [1e200, -1e200], [1e100, 0.0, 3.0]],
+                             ids=["inf", "nan", "both_infs", "sum_overflows", "square_overflows",
+                                  "fourth_power_overflows"])
+    def test_non_finite_samples_or_statistics_raise(self, samples):
+        with pytest.raises(NumericError, match="not finite"):
+            li.ensembles._moments(np.array(samples))
+
+
 class TestLeftLimit:
     def test_continuous_unchanged(self, grid100):
         e = li.simulate_paths(li.Brownian(), grid100, 10, 3)
@@ -281,11 +295,19 @@ class TestPathEnsemble:
 
 
 def _per_path_records(spec, grid, n_paths, seed, path_offset=0):
-    """Each path's jump record drawn and built on its own, as fills once did."""
+    """Each path's jump record drawn and built on its own, sharing no code
+    with the simulator: a new Philox started at the path's counter block,
+    one exponential gap at a time, then a compound path's sizes."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     records = []
-    for rng in drivers._path_rngs(key, path_offset, n_paths):
-        t = drivers._exact_jump_times(rng, spec.rate, grid.horizon)
+    for path in range(path_offset, path_offset + n_paths):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, path, 0]))
+        times = []
+        t = rng.exponential(1.0 / spec.rate)
+        while t <= grid.horizon:
+            times.append(t)
+            t += rng.exponential(1.0 / spec.rate)
+        t = np.asarray(times)
         sizes = spec.jump_law.sample(rng, t.size) if isinstance(spec, li.CompoundPoisson) else np.ones(t.size)
         records.append(li.JumpRecord(times=t, sizes=sizes))
     return records
@@ -318,6 +340,22 @@ class TestJumpTable:
         with pytest.raises(IndexError):
             jumps[300]
         assert jumps.times.size == sum(rec.count for rec in jumps) == jumps.bounds[-1]
+
+    @pytest.mark.parametrize("rate", [0.01, 40.0])
+    @pytest.mark.parametrize("law", [None, li.TwoPointJumps(), li.ExponentialJumps(rate=2.0),
+                                     li.NormalJumps(loc=0.3, scale=0.5)],
+                             ids=["standard_poisson", "two_point", "exponential", "normal"])
+    def test_table_has_the_bytes_of_per_path_draws(self, grid100, law, rate):
+        spec = li.standard_poisson(rate) if law is None else li.CompoundPoisson(rate=rate, jump_law=law)
+        jumps = li.simulate_paths(spec, grid100, 200, 11, path_offset=37).jumps
+        want = _per_path_records(spec, grid100, 200, 11, path_offset=37)
+        expect = {"times": np.concatenate([np.empty(0)] + [r.times for r in want]),
+                  "sizes": np.concatenate([np.empty(0)] + [r.sizes for r in want]),
+                  "bounds": np.cumsum([0] + [r.count for r in want]).astype(np.intp)}
+        for name, e in expect.items():
+            got = getattr(jumps, name)
+            assert got.dtype == e.dtype and got.shape == e.shape and got.tobytes() == e.tobytes()
+        assert 0 < jumps.bounds[-1] < 5 if rate < 1 else jumps.bounds[-1] > 7000
 
     def test_arrays_are_read_only_and_records_are_views(self, grid100):
         jumps = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 50, 5).jumps

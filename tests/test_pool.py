@@ -5,6 +5,7 @@ the pool, so these tests lower that size to 0 and fix the pool at two
 threads, then compare each pooled result with the serial one bit for bit.
 """
 
+import hashlib
 import multiprocessing
 import sys
 import threading
@@ -221,6 +222,31 @@ class TestPooledPicard:
         _same_bits(serial, out)
         assert (np.signbit(serial) == np.signbit(out)).all()
         assert serial_d == out_d
+
+    def test_signed_zero_golden(self, pooled, monkeypatch):
+        # drive terms of both zero signs (see tests/test_spde.py::TestSignedZeroGoldens);
+        # 13000 paths at four modes are blocks of 8192 and 4808 rows.  The
+        # digest was recorded on one thread, before the drive had a product buffer.
+        problem = li.SpdeProblem(
+            operator=li.heat_operator(4), h0=np.array([-0.0, 1.0, -0.0, 0.5]),
+            alpha=li.scaled_identity(0.5), alpha_lipschitz=0.5,
+            sigmas=(li.constant_map(-0.0), li.scaled_identity(0.25)), sigma_lipschitz=(0.0, 0.25),
+            drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)))
+        blocks_per_sweep = []
+
+        def run_blocks(fn, blocks, *gate):
+            blocks_per_sweep.append(len(blocks))
+            return ensembles._run_blocks(fn, blocks, *gate)
+
+        monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+        pooled(True)
+        sol, reps = li.mild_solution_restarted(problem, li.TimeGrid.uniform(1.0, 16), 13_000, 21,
+                                               tol=1e-12, max_iter=3, n_blocks=2, path_offset=17)
+        assert blocks_per_sweep and min(blocks_per_sweep) == 2
+        h = hashlib.sha256()
+        for a in (sol.values, *(r.distances for r in reps)):
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+        assert h.hexdigest() == "f109a82edba78c84cb3dd1fd59504e53a189b557fb81511d23cf398e43046bfb"
 
     def test_diverging_problem_raises_the_serial_error(self, pooled):
         # superlinear drift: the iterates overflow within a few sweeps; 50000

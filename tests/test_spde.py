@@ -64,6 +64,21 @@ def _two_driver_problem():
     )
 
 
+def _signed_zero_problem():
+    """State-dependent, with drive terms of both zero signs: -0.0 modes in h0
+    that stay zero, a linear drift, and a constant -0.0 noise beside a
+    linear one."""
+    return li.SpdeProblem(
+        operator=li.heat_operator(4),
+        h0=np.array([-0.0, 1.0, -0.0, 0.5]),
+        alpha=li.scaled_identity(0.5),
+        alpha_lipschitz=0.5,
+        sigmas=(li.constant_map(-0.0), li.scaled_identity(0.25)),
+        sigma_lipschitz=(0.0, 0.25),
+        drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)),
+    )
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -496,6 +511,25 @@ class TestPicardGoldens:
         assert _digest(sol.values, *(r.distances for r in reps)) == expect
 
 
+class TestSignedZeroGoldens:
+    """sha256 of solution bytes (sign bits included) and distances, recorded
+    while each step's drive terms were formed as temporaries: the drive
+    starts at 0.0 and every term is added to it, so a -0.0 mode leaves row 0
+    as +0.0 and stays so."""
+
+    @pytest.mark.parametrize("n_blocks, expect", [
+        (1, "c3ad82d9101143feb028e036a7ab2c54d0a9326d006b3bd0bc3507d6b4ce51b1"),
+        (3, "a057995f2ece94b62b69eae895585832f089628f7b7c48e7b2a77c9dd0cba9a7"),
+    ])
+    def test_solution_and_distances(self, n_blocks, expect):
+        sol, reps = li.mild_solution_restarted(_signed_zero_problem(), li.TimeGrid.uniform(1.0, 37), 30, 7,
+                                               tol=1e-12, max_iter=3, n_blocks=n_blocks)
+        zero = sol.values[:, :, [0, 2]] == 0.0
+        assert zero.all() and np.signbit(sol.values[:, 0, [0, 2]]).all()
+        assert not np.signbit(sol.values[:, 1:, [0, 2]]).any()
+        assert _digest(sol.values, *(r.distances for r in reps)) == expect
+
+
 class TestSweepDistance:
     """The per-step squared gap is summed in _SQ_PIECE-element pieces, each
     path block its own, and the piece sums folded in path order.  That is
@@ -509,6 +543,10 @@ class TestSweepDistance:
         gap = rng.normal(size=(n_paths, dim)) * rng.lognormal(size=(n_paths, 1))
         pieces = np.empty((1, -(-gap.size // spde._SQ_PIECE)))
         spde._piece_sums(gap, pieces[0])
+        flat = gap.reshape(-1)
+        for i, a in enumerate(range(0, flat.size, spde._SQ_PIECE)):
+            piece = flat[a:a + spde._SQ_PIECE]
+            assert pieces[0, i] == np.einsum("i,i->", piece, piece)
         assert spde._sq_norms(pieces)[0] == np.einsum("pd,pd->", gap, gap)
 
 
