@@ -409,7 +409,7 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
     ens = simulate_paths(spec, grid, cfg.paths, cfg.seed)
     c = spec.bracket_rate()
-    var, se = map(float, _moments(martingale_part(spec, ens).values[:, -1, 0].copy())[2:])
+    var, se = map(float, _moments(ens.values[:, -1, 0] - spec.martingale_drift * grid.horizon)[2:])
     se = se if cfg.paths > 2 else np.inf  # the SE of a variance needs three paths
     k = cfg.tolerances["se_multiplier"]
     checks = [

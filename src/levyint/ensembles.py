@@ -403,13 +403,11 @@ def _row_slices(n: int, rows: int | None) -> Iterator[slice]:
             yield slice(a, b)
 
 
-def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
-            rows: int | None = None) -> Iterator[tuple]:
+def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterator[tuple]:
     """Row slices of n paired paths, each with every ensemble's values on it.
 
     Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
-    paired with n > 1 paths comes whole, shape (1, n_points, dim), or with
-    ``broadcast`` as a read-only view repeated to the block's rows.  Slices
+    paired with n > 1 paths comes whole, shape (1, n_points, dim).  Slices
     hold ``_CHUNK_ROWS`` rows, or about ``rows`` (see ``_row_slices``).
     """
     for sl in _row_slices(n, rows):
@@ -417,33 +415,33 @@ def _blocks(n: int, *ensembles: PathEnsemble, broadcast: bool = False,
         for x in ensembles:
             if x.n_paths == n:
                 blocks.append(x.values[sl])
-            elif broadcast:
-                blocks.append(np.broadcast_to(x.values, (sl.stop - sl.start,) + x.values.shape[1:]))
             else:
                 blocks.append(x.values)
         yield (sl, *blocks)
 
 
-def _moments(buf: np.ndarray) -> tuple:
-    """Mean, its SE, ddof=1 variance and its SE (of the mean squared deviation)
-    along the first axis of the float64 ``buf``, spreads 0 for one sample:
-    the bits of np.mean, np.var and np.std, in three passes that overwrite ``buf``.
-    ``NumericError`` unless all four are finite (a non-finite sample makes the mean so)."""
+def _moments(buf: np.ndarray, spreads: bool = True) -> tuple:
+    """Mean, its SE and, with ``spreads``, the ddof=1 variance and its SE (of the mean squared
+    deviation) along the first axis of the float64 ``buf``, spreads 0 for one sample: the bits of
+    np.mean, np.var and np.std, in two passes (three with ``spreads``) that overwrite ``buf``.
+    ``NumericError`` unless all it returns are finite (a non-finite sample makes the mean so)."""
     n = buf.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(buf) / n
         ss = np.add.reduce(np.square(np.subtract(buf, mean, out=buf), out=buf))
-        ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
-        var, var4 = ss / max(n - 1, 1), ss4 / max(n - 1, 1)  # one sample's sums are 0
-        stats = (mean, np.sqrt(var) / np.sqrt(n), var, np.sqrt(var4) / np.sqrt(n))
+        var = ss / max(n - 1, 1)  # one sample's sums are 0
+        stats = (mean, np.sqrt(var) / np.sqrt(n))
+        if spreads:
+            ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
+            stats += (var, np.sqrt(ss4 / max(n - 1, 1)) / np.sqrt(n))
     if not all(np.isfinite(x).all() for x in stats):
         raise NumericError("samples, or their mean or spread, are not finite (NaN or overflow)")
     return stats
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """``_moments``' mean and its standard error of 1-D ``samples``, as floats."""
-    return tuple(map(float, _moments(np.array(samples, dtype=float))[:2]))
+    """Mean and standard error of 1-D ``samples``, as floats: ``_moments``' first two passes."""
+    return tuple(map(float, _moments(np.array(samples, dtype=float), spreads=False)))
 
 
 def _z_score(diff, se):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .drivers import _FILL_ROWS, reject_coincident_jumps, simulate_paths, standard_poisson
 from .ensembles import JumpRecord, JumpTable, TimeGrid, _jump_values, _rows
-from .errors import DomainError, InsufficientDataError, ParameterError
-from .riemann import MeshStudy, _mesh_study, uniform_partition
+from .errors import DomainError, ParameterError
+from .riemann import MeshStudy, _mesh_list, _mesh_study, uniform_partition
 from . import drivers
 
 
@@ -155,13 +155,7 @@ def brownian_ito_identity_check(
     T*h/2 on a uniform mesh h, which the fitted exponent and the per-mesh
     values witness.
     """
-    meshes = np.asarray(meshes, dtype=np.float64)
-    if meshes.size < 1:
-        raise InsufficientDataError("need at least one mesh")
-    if np.any(np.diff(meshes) >= 0):
-        raise InsufficientDataError("meshes must be strictly decreasing")
-    if not np.all(np.isfinite(meshes) & (meshes > 0.0)):
-        raise ParameterError(f"meshes must be finite and positive, got {meshes.tolist()!r}")
+    meshes = _mesh_list(meshes, 1)
     with np.errstate(over="ignore"):
         steps = horizon / meshes[-1]
     # NaN and inf fail this too

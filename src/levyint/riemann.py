@@ -22,6 +22,7 @@ from .errors import (
     ConsistencyError,
     GridError,
     InsufficientDataError,
+    ParameterError,
 )
 
 
@@ -195,17 +196,25 @@ def mesh_convergence_study(
     and the remaining meshes report E|Y_mesh - Y_ref|^2 with standard errors
     plus a least-squares rate exponent in log-log coordinates.
     """
-    meshes = np.asarray(meshes, dtype=np.float64)
-    if meshes.size < 3:
-        raise InsufficientDataError("a mesh study needs at least three meshes")
-    if np.any(np.diff(meshes) >= 0):
-        raise InsufficientDataError("meshes must be strictly decreasing")
+    meshes = _mesh_list(meshes, 3)
     if phi.grid != m.grid:
         raise ConsistencyError("study needs a common simulation grid")
 
     partitions = [uniform_partition(phi.grid, t, h) for h in meshes]
     ref = riemann_sum(phi, m, partitions[-1]).values
     return _mesh_study(phi, m, partitions[:-1], ref, float(partitions[-1].mesh))
+
+
+def _mesh_list(meshes: np.ndarray, least: int) -> np.ndarray:
+    """``meshes`` as floats, checked: ``least`` or more, strictly decreasing, finite and positive."""
+    meshes = np.asarray(meshes, dtype=np.float64)
+    if meshes.size < least:
+        raise InsufficientDataError(f"a mesh study needs {least} or more meshes")
+    if np.any(np.diff(meshes) >= 0):
+        raise InsufficientDataError("meshes must be strictly decreasing")
+    if not np.all(np.isfinite(meshes) & (meshes > 0.0)):
+        raise ParameterError(f"meshes must be finite and positive, got {meshes.tolist()!r}")
+    return meshes
 
 
 def _mesh_study(phi: PathEnsemble, m: PathEnsemble, partitions: list[TimeGrid],
@@ -271,7 +280,7 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
         raise ConsistencyError("covariance needs at least two paths")
 
     def pairs():
-        for _, pv, mv in _blocks(n, phi, m, broadcast=True):
+        for _, pv, mv in _blocks(n, phi, m):
             yield pv[:, :-1, :].mean(axis=2), np.diff(mv[:, :, 0], axis=1)
 
     # the means first, then the products centred at them; a single path is

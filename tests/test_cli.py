@@ -640,6 +640,18 @@ class TestNonFiniteEvidence:
         assert len(err) == 1 and err[0].startswith("numeric failure: ") and "not finite" in err[0]
         assert not list(tmp_path.glob("*.manifest.json"))
 
+    def test_unread_spread_does_not_fail_a_mean_check(self, tmp_path):
+        # the fourth-power spread of these terminal values overflows, but
+        # integrate reads only their mean and its SE, which are finite
+        cfg = {"seed": 3, "paths": 10, "out": str(tmp_path), "integrand": "ones",
+               "driver": {"kind": "brownian", "volatility": 1e100},
+               "grid": {"horizon": 1.0, "steps": 4}}
+        assert main(["integrate", "--config", _write(tmp_path, "wide.json", cfg)]) == 0
+        stem = f"integrate-{parse_config({**cfg, 'experiment': 'integrate'}).config_hash}"
+        checks = json.loads((tmp_path / f"{stem}.manifest.json").read_text())["checks"]
+        assert [(c["name"], c["passed"]) for c in checks] == [
+            ("telescoping", True), ("martingale_mean_zero", True)]
+
     def test_overflowing_map_is_not_read_as_a_broken_constant(self, tmp_path, capsys):
         cfg = _small_configs(tmp_path)["spde"]
         cfg = {**cfg, "spde": {**cfg["spde"], "alpha": {"kind": "linear", "coefficient": 1e308}}}
@@ -1010,6 +1022,7 @@ class TestJumpLimit:
         monkeypatch.setattr(cli, "simulate_paths", _no_simulation)
         monkeypatch.setattr(cli, "poisson_identity_check", _no_simulation)
         monkeypatch.setattr(cli, "mild_solution_picard", _no_simulation)
+        monkeypatch.setattr(cli, "_mild_solution", _no_simulation)
         cfg = {**_small_configs(tmp_path)[kind], **patch}
         with pytest.raises(ConfigError, match="expected jumps"):
             parse_config({**cfg, "experiment": kind})

@@ -164,6 +164,12 @@ class TestMoments:
         with pytest.raises(NumericError, match="not finite"):
             li.ensembles._moments(np.array(samples))
 
+    def test_mean_se_reads_only_the_first_two_passes(self):
+        # the fourth-power spread of these samples overflows (see above)
+        b = np.array([1e100, 0.0, 3.0])
+        assert li.ensembles._mean_se(b) == (np.mean(b), np.std(b, ddof=1) / np.sqrt(3))
+        assert b.tolist() == [1e100, 0.0, 3.0]
+
 
 class TestLeftLimit:
     def test_continuous_unchanged(self, grid100):

@@ -9,7 +9,7 @@ import levyint as li
 import levyint.ensembles as ens_mod
 import levyint.riemann as riemann_mod
 from levyint.cli import main
-from levyint.errors import AdaptednessError, GridError, InsufficientDataError
+from levyint.errors import AdaptednessError, GridError, InsufficientDataError, ParameterError
 
 
 def _se_of_mean(x):
@@ -305,6 +305,13 @@ class TestMeshStudy:
         phi = li.PathEnsemble.deterministic(grid100, 1.0)
         with pytest.raises(InsufficientDataError):
             li.mesh_convergence_study(phi, m, [0.5, 0.25], 1.0)
+
+    @pytest.mark.parametrize("meshes", [[0.5, np.nan, 0.125], [0.5, 0.25, 0.0], [0.5, 0.25, -0.125]],
+                             ids=["nan", "zero", "negative"])
+    def test_non_finite_or_non_positive_mesh_rejected(self, grid100, meshes):
+        m = li.simulate_paths(li.Brownian(), grid100, 10, 15)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            li.mesh_convergence_study(m, m, meshes, 1.0)
 
     def test_reference_row_closes_table(self, grid100):
         m = li.simulate_paths(li.Brownian(), grid100, 100, 16)
