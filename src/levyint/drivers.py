@@ -20,6 +20,8 @@ time, and jumps become grid values through the one function that also
 serves ``JumpRecord.values_at``.  Jump times are drawn one scalar at a time
 and appended, path after path, to one flat array of doubles, with one bound
 per path; a compound path's sizes are drawn right after its times.  A
+two-point path draws its signs as whole raw 64-bit words, and once every
+path is drawn one step maps them all to +-1 (``_two_point_signs``).  A
 jump-driven ensemble keeps its jumps as one read-only ``JumpTable``: an
 array of times, one of sizes and the bounds of each path's run.  Each
 path's numbers are formed by the same operations in the same order as a
@@ -83,6 +85,20 @@ class JumpLaw(abc.ABC):
 _PM1 = np.array([-1.0, 1.0])
 
 
+def _two_point_signs(words: np.ndarray, counts) -> np.ndarray:
+    """Runs of ``counts`` signs, each from its own ceil(count/2) raw 64-bit
+    ``words`` in order: bit 31 of each 32-bit half, the low half first, picks
+    -1 or +1, and an odd run leaves the high half of its last word unread.
+    These are the signs ``_PM1[rng.integers(0, 2, size=count)]`` draws from a
+    generator with no carried 32-bit half: for a range of 2, Lemire's bounded
+    integer is bit 31 of a half and never rejects."""
+    counts = np.asarray(counts, dtype=np.intp)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    keep = np.ones(halves.size, dtype=bool)
+    keep[2 * np.cumsum((counts + 1) // 2)[counts % 2 == 1] - 1] = False
+    return _PM1[halves[keep] >> 31]
+
+
 @dataclass(frozen=True)
 class TwoPointJumps(JumpLaw):
     """Jumps of +-1 with probability 1/2 each."""
@@ -94,8 +110,10 @@ class TwoPointJumps(JumpLaw):
         return 1.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # the integers Generator.choice draws for a uniform pick, at half its cost
-        return _PM1[rng.integers(0, 2, size=n)]
+        """Reads ceil(n/2) whole 64-bit words: the halves ``integers(0, 2)``
+        reads from a generator with no carried 32-bit half, giving its signs
+        (``_two_point_signs``)."""
+        return _two_point_signs(rng.bit_generator.random_raw((n + 1) // 2), [n])
 
 
 @dataclass(frozen=True)
@@ -241,8 +259,10 @@ def _path_rngs(key: np.ndarray, offset: int, n: int) -> Iterator[np.random.Gener
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # setting the state leaves this dict as it is
-    # an empty buffer and no carried 32-bit half: each stream starts as a new Philox would
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    # an empty buffer and no carried 32-bit half: each stream starts as a new
+    # Philox would.  The setter reads lists faster than arrays.
+    state.update(buffer=state["buffer"].tolist(), buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"]["key"] = state["state"]["key"].tolist()
     offset = int(offset)
     for path in range(offset, offset + n):
         # counter word 2 holds the absolute path index; words 0-1 advance
@@ -299,7 +319,8 @@ def _path_drift(spec: LevySpec) -> float:
 
 def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
                offset: int) -> JumpTable:
-    compound = isinstance(spec, CompoundPoisson)
+    law = spec.jump_law if isinstance(spec, CompoundPoisson) else None
+    two_point = isinstance(law, TwoPointJumps)
     horizon, scale = grid.horizon, 1.0 / spec.rate
     # jump instants in (0, T] from exponential inter-arrival times, in one
     # flat array of doubles: 8 bytes a jump, and no float objects kept
@@ -310,10 +331,18 @@ def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarr
         while t <= horizon:
             times.append(t)
             t += draw(scale)
-        if compound:
-            sizes.append(spec.jump_law.sample(rng, len(times) - bounds[-1]))
+        if law is not None:
+            n = len(times) - bounds[-1]
+            # a two-point path keeps its raw words; all become signs at once below
+            sizes.append(rng.bit_generator.random_raw((n + 1) // 2) if two_point else law.sample(rng, n))
         bounds.append(len(times))
-    jumps = JumpTable(times, np.concatenate(sizes) if compound else np.ones(len(times)), bounds)
+    if law is None:
+        sizes = np.ones(len(times))
+    else:
+        sizes = np.concatenate(sizes)
+        if two_point:
+            sizes = _two_point_signs(sizes, np.diff(bounds))
+    jumps = JumpTable(times, sizes, bounds)
     drift = _path_drift(spec) * grid.points
 
     def fill(a: int, block: np.ndarray) -> None:
@@ -348,9 +377,11 @@ def simulate_paths(
         bit-identical output; different seeds give different ensembles.
     path_offset:
         Index of the first path's stream.  Simulating [0, k) and [k, n) in
-        two calls concatenates to the single-call [0, n) ensemble.  Each
-        path draws from its own stream in turn; grid values are then filled
-        in row blocks, and each block is checked finite (``NumericError``).
+        two calls concatenates to the single-call [0, n) ensemble.  Path
+        indices fill one 64-bit counter word, so ``path_offset + n_paths``
+        may not pass 2**64 (``ParameterError``).  Each path draws from its
+        own stream in turn; grid values are then filled in row blocks, and
+        each block is checked finite (``NumericError``).
     threads:
         Ignored: no argument sets a thread count.  A call of at least 2**20
         values in rows of at least 768 points fills its row blocks on one
@@ -363,6 +394,9 @@ def simulate_paths(
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     if path_offset < 0:
         raise ParameterError(f"path_offset must be >= 0, got {path_offset}")
+    if path_offset + n_paths > 2**64:
+        raise ParameterError(f"path indices must fit the 64-bit counter word, got path_offset "
+                             f"{path_offset} and n_paths {n_paths}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)

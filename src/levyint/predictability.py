@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, _check_driver
-from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _z_score, left_limit,
-                        second_moments, sup_l2_norm)
+from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _run_blocks, _z_score,
+                        left_limit, second_moments, sup_l2_norm)
 from .errors import AdaptednessError, DomainError, ParameterError
 from .riemann import riemann_sum
 from .tolerances import DEFAULTS
@@ -128,7 +128,8 @@ def _isometry_samples(
     """Per-path samples of both isometry sides: ||(Phi . M)_T||^2 for every
     path, and c * sum ||pPhi_{t_i}||^2 dt_i for every path of Phi (one sample
     for a deterministic Phi).  Each path's samples are its own, so blocks of
-    paths give slices of the whole ensemble's samples."""
+    paths give slices of the whole ensemble's samples.  The rhs blocks run
+    on the pool in a large call (``ensembles._run_blocks``)."""
     if spec.martingale_drift != 0.0:
         raise DomainError("isometry holds for martingale drivers; decompose first")
     _check_driver(spec, m)
@@ -140,8 +141,12 @@ def _isometry_samples(
 
     dt = pphi.grid.dt
     rhs_samples = np.empty(pphi.n_paths)
-    for sl, block in _blocks(pphi.n_paths, pphi):
+
+    def rhs_block(item: tuple) -> None:
+        sl, block = item
         rhs_samples[sl] = c * np.einsum("pjd,pjd,j->p", block[:, :-1, :], block[:, :-1, :], dt)
+
+    _run_blocks(rhs_block, _blocks(pphi.n_paths, pphi), pphi.n_paths, pphi.grid.n_points)
     return lhs_samples, rhs_samples
 
 

@@ -67,6 +67,16 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             li.child_seed(-1, 0)
 
+    @pytest.mark.parametrize("spec", [li.Brownian(), li.CompensatedPoisson(rate=2.0),
+                                      li.CompoundPoisson(rate=3.0)],
+                             ids=["brownian", "compensated_poisson", "compound_poisson"])
+    def test_path_indices_past_the_counter_word_rejected(self, grid100, spec):
+        for offset, n in ((2**64 - 1, 2), (2**64, 1), (2**70, 3)):
+            with pytest.raises(ParameterError, match="64-bit counter word"):
+                li.simulate_paths(spec, grid100, n, 0, path_offset=offset)
+        last = li.simulate_paths(spec, grid100, 2, 0, path_offset=2**64 - 2)
+        assert np.array_equal(last.values[1:], li.simulate_paths(spec, grid100, 1, 0, path_offset=2**64 - 1).values)
+
 
 class TestBracketRate:
     def test_unit_brownian(self):
@@ -210,6 +220,35 @@ class TestDeterminism:
                 whole = full.jumps[rows]
                 for name in ("times", "sizes", "bounds"):
                     assert np.array_equal(getattr(part, name), getattr(whole, name))
+
+
+class TestTwoPointSigns:
+    """Signs mapped from raw Philox words are the bounded integers
+    ``_PM1[rng.integers(0, 2, size=n)]`` a path stream would draw."""
+
+    def test_raw_words_give_the_bounded_integers(self):
+        key = np.random.SeedSequence(21).generate_state(2, np.uint64)
+        words, counts, want = [], [], []
+        for path in range(50):
+            gaps, n = divmod(path, 10)  # 0-4 exponential draws, then 0-9 signs
+            ref, raw, law = (np.random.Generator(np.random.Philox(key=key, counter=[0, 0, path, 0]))
+                             for _ in range(3))
+            for rng in (ref, raw, law):
+                for _ in range(gaps):
+                    rng.exponential(0.5)
+            want.append(drivers._PM1[ref.integers(0, 2, size=n)])
+            words.append(raw.bit_generator.random_raw((n + 1) // 2))
+            counts.append(n)
+            got = drivers._two_point_signs(words[-1], [n])
+            assert got.dtype == want[-1].dtype and got.tobytes() == want[-1].tobytes()
+            assert li.TwoPointJumps().sample(law, n).tobytes() == want[-1].tobytes()
+            # the same whole words are read: only the carried half can differ
+            for rng in (raw, law):
+                assert rng.bit_generator.state["buffer_pos"] == ref.bit_generator.state["buffer_pos"]
+                assert np.array_equal(rng.bit_generator.state["state"]["counter"],
+                                      ref.bit_generator.state["state"]["counter"])
+        got = drivers._two_point_signs(np.concatenate(words), counts)
+        assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 def _reference_jump_values(rec, points):

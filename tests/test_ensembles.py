@@ -303,7 +303,8 @@ class TestPathEnsemble:
 def _per_path_records(spec, grid, n_paths, seed, path_offset=0):
     """Each path's jump record drawn and built on its own, sharing no code
     with the simulator: a new Philox started at the path's counter block,
-    one exponential gap at a time, then a compound path's sizes."""
+    one exponential gap at a time, then a compound path's sizes (two-point
+    signs as ``Generator.integers`` draws them)."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     records = []
     for path in range(path_offset, path_offset + n_paths):
@@ -314,7 +315,12 @@ def _per_path_records(spec, grid, n_paths, seed, path_offset=0):
             times.append(t)
             t += rng.exponential(1.0 / spec.rate)
         t = np.asarray(times)
-        sizes = spec.jump_law.sample(rng, t.size) if isinstance(spec, li.CompoundPoisson) else np.ones(t.size)
+        if not isinstance(spec, li.CompoundPoisson):
+            sizes = np.ones(t.size)
+        elif isinstance(spec.jump_law, li.TwoPointJumps):
+            sizes = np.array([-1.0, 1.0])[rng.integers(0, 2, size=t.size)]
+        else:
+            sizes = spec.jump_law.sample(rng, t.size)
         records.append(li.JumpRecord(times=t, sizes=sizes))
     return records
 

@@ -16,6 +16,7 @@ import pytest
 import levyint as li
 from levyint import ensembles, spde
 from levyint.errors import NumericError
+from levyint.predictability import _isometry_samples
 
 _SPECS = {
     "brownian": li.Brownian(volatility=1.3),
@@ -140,8 +141,11 @@ def test_pooled_isometry_is_bit_identical(pooled, kind, integrand):
     phi = {"ones": li.PathEnsemble.deterministic(_GRID, 1.0),
            "time": li.PathEnsemble.deterministic(_GRID, lambda t: t),
            "driver_left_limit": li.left_limit(x)}[integrand]
-    serial, out = _both(pooled, lambda: li.ito_isometry_check(phi, spec, x).record())
-    assert serial == out
+    serial, out = _both(pooled, lambda: (li.ito_isometry_check(phi, spec, x).record(),
+                                         _isometry_samples(phi, spec, x)))
+    assert serial[0] == out[0]
+    for a, b in zip(serial[1], out[1], strict=True):  # lhs and rhs, per path
+        _same_bits(a, b)
 
 
 def test_pooled_error_is_the_serial_error(pooled):

@@ -404,6 +404,12 @@ class TestSolverSettings:
         with pytest.raises(ParameterError):
             solve(_linear_problem(2), grid, 4, 1, **settings)
 
+    @pytest.mark.parametrize("solve", [li.mild_solution_picard, li.mild_solution_restarted])
+    def test_path_indices_past_the_counter_word_rejected(self, solve):
+        grid = li.TimeGrid.uniform(1.0, 8)
+        with pytest.raises(ParameterError, match="64-bit counter word"):
+            solve(_linear_problem(2), grid, 4, 1, path_offset=2**64 - 3)
+
 
 class TestSolverEquivalence:
     def test_one_block_restart_is_plain_picard(self):
