@@ -20,8 +20,8 @@ time, and jumps become grid values through the one function that also
 serves ``JumpRecord.values_at``.  Jump times are drawn one scalar at a time
 and appended, path after path, to one flat array of doubles, with one bound
 per path; a compound path's sizes are drawn right after its times.  A
-two-point path draws its signs as whole raw 64-bit words, and once every
-path is drawn one step maps them all to +-1 (``_two_point_signs``).  A
+two-point path reads its signs from whole raw 64-bit words, the bits
+``Generator.integers(0, 2)`` would read (``_two_point_signs``).  A
 jump-driven ensemble keeps its jumps as one read-only ``JumpTable``: an
 array of times, one of sizes and the bounds of each path's run.  Each
 path's numbers are formed by the same operations in the same order as a
@@ -85,18 +85,15 @@ class JumpLaw(abc.ABC):
 _PM1 = np.array([-1.0, 1.0])
 
 
-def _two_point_signs(words: np.ndarray, counts) -> np.ndarray:
-    """Runs of ``counts`` signs, each from its own ceil(count/2) raw 64-bit
-    ``words`` in order: bit 31 of each 32-bit half, the low half first, picks
-    -1 or +1, and an odd run leaves the high half of its last word unread.
-    These are the signs ``_PM1[rng.integers(0, 2, size=count)]`` draws from a
-    generator with no carried 32-bit half: for a range of 2, Lemire's bounded
-    integer is bit 31 of a half and never rejects."""
-    counts = np.asarray(counts, dtype=np.intp)
-    halves = words.astype("<u8", copy=False).view("<u4")
-    keep = np.ones(halves.size, dtype=bool)
-    keep[2 * np.cumsum((counts + 1) // 2)[counts % 2 == 1] - 1] = False
-    return _PM1[halves[keep] >> 31]
+def _two_point_signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``TwoPointJumps().sample(rng, n)`` for a Philox path stream, which
+    carries no 32-bit half: it reads ceil(n/2) whole raw 64-bit words, and
+    bit 31 of each 32-bit half, the low half first, picks -1 or +1.  For a
+    range of 2, Lemire's bounded integer is bit 31 of a half and never
+    rejects, so these are the signs ``integers(0, 2)`` draws; an odd n leaves
+    unread the high half that ``integers`` would carry."""
+    halves = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")
+    return _PM1[halves[:n] >> 31]
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,8 @@ class TwoPointJumps(JumpLaw):
         return 1.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Reads ceil(n/2) whole 64-bit words: the halves ``integers(0, 2)``
-        reads from a generator with no carried 32-bit half, giving its signs
-        (``_two_point_signs``)."""
-        return _two_point_signs(rng.bit_generator.random_raw((n + 1) // 2), [n])
+        # the integers Generator.choice draws for a uniform pick, at half its cost
+        return _PM1[rng.integers(0, 2, size=n)]
 
 
 @dataclass(frozen=True)
@@ -319,8 +314,11 @@ def _path_drift(spec: LevySpec) -> float:
 
 def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
                offset: int) -> JumpTable:
-    law = spec.jump_law if isinstance(spec, CompoundPoisson) else None
-    two_point = isinstance(law, TwoPointJumps)
+    compound = isinstance(spec, CompoundPoisson)
+    if compound:
+        # a path stream carries no 32-bit half, so two-point signs can come from raw words
+        law = spec.jump_law
+        sample = _two_point_signs if isinstance(law, TwoPointJumps) else law.sample
     horizon, scale = grid.horizon, 1.0 / spec.rate
     # jump instants in (0, T] from exponential inter-arrival times, in one
     # flat array of doubles: 8 bytes a jump, and no float objects kept
@@ -331,18 +329,10 @@ def _fill_jump(spec: LevySpec, grid: TimeGrid, values: np.ndarray, key: np.ndarr
         while t <= horizon:
             times.append(t)
             t += draw(scale)
-        if law is not None:
-            n = len(times) - bounds[-1]
-            # a two-point path keeps its raw words; all become signs at once below
-            sizes.append(rng.bit_generator.random_raw((n + 1) // 2) if two_point else law.sample(rng, n))
+        if compound:
+            sizes.append(sample(rng, len(times) - bounds[-1]))
         bounds.append(len(times))
-    if law is None:
-        sizes = np.ones(len(times))
-    else:
-        sizes = np.concatenate(sizes)
-        if two_point:
-            sizes = _two_point_signs(sizes, np.diff(bounds))
-    jumps = JumpTable(times, sizes, bounds)
+    jumps = JumpTable(times, np.concatenate(sizes) if compound else np.ones(len(times)), bounds)
     drift = _path_drift(spec) * grid.points
 
     def fill(a: int, block: np.ndarray) -> None:
@@ -394,7 +384,7 @@ def simulate_paths(
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     if path_offset < 0:
         raise ParameterError(f"path_offset must be >= 0, got {path_offset}")
-    if path_offset + n_paths > 2**64:
+    if int(path_offset) + int(n_paths) > 2**64:
         raise ParameterError(f"path indices must fit the 64-bit counter word, got path_offset "
                              f"{path_offset} and n_paths {n_paths}")
     if seed < 0:

@@ -71,7 +71,7 @@ class TestSpecValidation:
                                       li.CompoundPoisson(rate=3.0)],
                              ids=["brownian", "compensated_poisson", "compound_poisson"])
     def test_path_indices_past_the_counter_word_rejected(self, grid100, spec):
-        for offset, n in ((2**64 - 1, 2), (2**64, 1), (2**70, 3)):
+        for offset, n in ((2**64 - 1, 2), (np.uint64(2**64 - 1), 2), (2**64, 1), (2**70, 3)):
             with pytest.raises(ParameterError, match="64-bit counter word"):
                 li.simulate_paths(spec, grid100, n, 0, path_offset=offset)
         last_two = li.simulate_paths(spec, grid100, 2, 0, path_offset=2**64 - 2)
@@ -224,32 +224,39 @@ class TestDeterminism:
 
 
 class TestTwoPointSigns:
-    """Signs mapped from raw Philox words are the bounded integers
-    ``_PM1[rng.integers(0, 2, size=n)]`` a path stream would draw."""
+    """Signs read from raw Philox words are the bounded integers
+    ``_PM1[rng.integers(0, 2, size=n)]`` that ``TwoPointJumps.sample`` draws
+    on a path stream, and ``sample`` stays right on any generator."""
 
     def test_raw_words_give_the_bounded_integers(self):
         key = np.random.SeedSequence(21).generate_state(2, np.uint64)
-        words, counts, want = [], [], []
         for path in range(50):
             gaps, n = divmod(path, 10)  # 0-4 exponential draws, then 0-9 signs
-            ref, raw, law = (np.random.Generator(np.random.Philox(key=key, counter=[0, 0, path, 0]))
-                             for _ in range(3))
-            for rng in (ref, raw, law):
+            ref, raw = (np.random.Generator(np.random.Philox(key=key, counter=[0, 0, path, 0]))
+                        for _ in range(2))
+            for rng in (ref, raw):
                 for _ in range(gaps):
                     rng.exponential(0.5)
-            want.append(drivers._PM1[ref.integers(0, 2, size=n)])
-            words.append(raw.bit_generator.random_raw((n + 1) // 2))
-            counts.append(n)
-            got = drivers._two_point_signs(words[-1], [n])
-            assert got.dtype == want[-1].dtype and got.tobytes() == want[-1].tobytes()
-            assert li.TwoPointJumps().sample(law, n).tobytes() == want[-1].tobytes()
+            want = li.TwoPointJumps().sample(ref, n)
+            got = drivers._two_point_signs(raw, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             # the same whole words are read: only the carried half can differ
-            for rng in (raw, law):
-                assert rng.bit_generator.state["buffer_pos"] == ref.bit_generator.state["buffer_pos"]
-                assert np.array_equal(rng.bit_generator.state["state"]["counter"],
-                                      ref.bit_generator.state["state"]["counter"])
-        got = drivers._two_point_signs(np.concatenate(words), counts)
-        assert got.tobytes() == np.concatenate(want).tobytes()
+            assert raw.bit_generator.state["buffer_pos"] == ref.bit_generator.state["buffer_pos"]
+            assert np.array_equal(raw.bit_generator.state["state"]["counter"],
+                                  ref.bit_generator.state["state"]["counter"])
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.PCG64, np.random.Philox])
+    def test_sample_is_the_bounded_integers_on_any_generator(self, bitgen):
+        # MT19937's raw words are 32 bits wide, and a carried half is read first
+        for carried in (False, True):
+            ref, rng = (np.random.Generator(bitgen(8)) for _ in range(2))
+            if carried:
+                for g in (ref, rng):
+                    g.integers(0, 2**32, dtype=np.uint32)
+            want = drivers._PM1[ref.integers(0, 2, size=1001)]
+            got = li.TwoPointJumps().sample(rng, 1001)
+            assert got.tobytes() == want.tobytes()
+            assert abs(got[1::2].mean()) < 0.2 and abs(got[::2].mean()) < 0.2
 
 
 def _reference_jump_values(rec, points):
