@@ -242,11 +242,20 @@ def standard_poisson(rate: float = 1.0) -> CompensatedPoisson:
     return CompensatedPoisson(rate=rate, drift=rate)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: ``ParameterError`` unless it is a Python or
+    numpy integer, and not a bool, so a fractional value is not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def child_seed(seed: int, index: int) -> int:
     """Derived integer seed for an indexed substream (e.g. one per driver)."""
+    seed, index = _integer(seed, "seed"), _integer(index, "stream index")
     if seed < 0 or index < 0:
         raise ParameterError("seed and stream index must be nonnegative")
-    return int(np.random.SeedSequence(entropy=(int(seed), int(index))).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
 def _path_rngs(key: np.ndarray, offset: int, n: int) -> Iterator[np.random.Generator]:
@@ -258,7 +267,6 @@ def _path_rngs(key: np.ndarray, offset: int, n: int) -> Iterator[np.random.Gener
     # Philox would.  The setter reads lists faster than arrays.
     state.update(buffer=state["buffer"].tolist(), buffer_pos=4, has_uint32=0, uinteger=0)
     state["state"]["key"] = state["state"]["key"].tolist()
-    offset = int(offset)
     for path in range(offset, offset + n):
         # counter word 2 holds the absolute path index; words 0-1 advance
         # within the path, so streams never overlap
@@ -365,6 +373,8 @@ def simulate_paths(
     n_paths, seed:
         Ensemble size and stream key.  Identical arguments reproduce
         bit-identical output; different seeds give different ensembles.
+        These and ``path_offset`` must be Python or numpy integers (not
+        bools), or ``ParameterError`` is raised.
     path_offset:
         Index of the first path's stream.  Simulating [0, k) and [k, n) in
         two calls concatenates to the single-call [0, n) ensemble.  Path
@@ -380,16 +390,19 @@ def simulate_paths(
         ``perfbench/workloads.py::threads_baseline`` passes it; the keyword
         and the probe are retired together.
     """
+    n_paths = _integer(n_paths, "n_paths")
+    path_offset = _integer(path_offset, "path_offset")
+    seed = _integer(seed, "seed")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     if path_offset < 0:
         raise ParameterError(f"path_offset must be >= 0, got {path_offset}")
-    if int(path_offset) + int(n_paths) > 2**64:
+    if path_offset + n_paths > 2**64:
         raise ParameterError(f"path indices must fit the 64-bit counter word, got path_offset "
                              f"{path_offset} and n_paths {n_paths}")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
-    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     values = np.empty((n_paths, grid.n_points, 1))
     jumps = None
     if isinstance(spec, Brownian):

@@ -291,7 +291,10 @@ class PathEnsemble:
     """Sampled paths on a common grid, values in R^dim.
 
     values has shape (n_paths, n_points, dim) and is read-only after
-    construction; derived ensembles are built with :meth:`with_values`.
+    construction: a read-only float64 array is kept as given, whatever its
+    layout (a solver returns a path-major view of its time-major buffer), and
+    any other is copied to a read-only C-contiguous array.  Derived ensembles
+    are built with :meth:`with_values`.
     Deterministic curves are stored as single-path ensembles and broadcast
     against sampled ones in pairwise operations.
 
@@ -326,7 +329,9 @@ class PathEnsemble:
             raise ConsistencyError(
                 f"values have {v.shape[1]} time slots, grid has {self.grid.n_points}"
             )
-        object.__setattr__(self, "values", _readonly(v))
+        if v.flags.writeable:  # a read-only float64 array is kept as given
+            v = _readonly(v)
+        object.__setattr__(self, "values", v)
         if self.jumps is not None:
             if len(self.jumps) != v.shape[0]:
                 raise ConsistencyError("need one JumpRecord per path")
@@ -409,15 +414,14 @@ def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterat
     Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
     paired with n > 1 paths comes whole, shape (1, n_points, dim).  Slices
     hold ``_CHUNK_ROWS`` rows, or about ``rows`` (see ``_row_slices``).
+    Every block is C-contiguous: a view of contiguous values, or a copy of
+    one block of values kept in another layout, since numpy sums a block's
+    terms in an order that follows its layout, and a reduction must give the
+    same bits on a view as on a contiguous copy.
     """
     for sl in _row_slices(n, rows):
-        blocks = []
-        for x in ensembles:
-            if x.n_paths == n:
-                blocks.append(x.values[sl])
-            else:
-                blocks.append(x.values)
-        yield (sl, *blocks)
+        yield (sl, *(np.ascontiguousarray(x.values[sl] if x.n_paths == n else x.values)
+                     for x in ensembles))
 
 
 def _moments(buf: np.ndarray, spreads: bool = True) -> tuple:
@@ -488,8 +492,6 @@ def _gap_moments(a: PathEnsemble, b: PathEnsemble, n: int) -> np.ndarray:
 
 def second_moments(ensemble: PathEnsemble) -> np.ndarray:
     """Per-gridpoint E||r_t||^2 estimated by the path average."""
-    if ensemble.values.size == 0:
-        raise EmptyEnsembleError("empty ensemble")
     acc = np.zeros(ensemble.n_points)
     for _, block in _blocks(ensemble.n_paths, ensemble):
         acc += np.einsum("pjd,pjd->j", block, block)
@@ -532,8 +534,6 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     Standard errors are for the reported root-mean-square values (delta
     method), so refinement comparisons can carry statistical slack.
     """
-    if ensemble.grid.n_points < 2:
-        raise GridError("modulus needs at least two grid points")
     sums = (0, 0.0, 0.0)
     for _, block in _blocks(ensemble.n_paths, ensemble):
         d = block[:, 1:, :] - block[:, :-1, :]

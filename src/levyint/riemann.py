@@ -111,12 +111,8 @@ def riemann_sum(
             # one row of increments leaves that order to pv's layout, which only
             # the gather's time-major copy fixes
             pv = pv[:, cols, :][:, :-1, :] if dm.shape[0] > 1 else pv[:, pi[:-1], :]
-            if pv.shape[0] == 1 and dm.shape[0] > 1:
-                out[sl] = np.einsum("jd,pj->pd", pv[0], dm)
-            elif dm.shape[0] == 1 and pv.shape[0] > 1:
-                out[sl] = np.einsum("pjd,j->pd", pv, dm[0])
-            else:
-                out[sl] = np.einsum("pjd,pj->pd", pv, dm)
+            # a one-path side broadcasts against the other's paths
+            out[sl] = np.einsum("pjd,pj->pd", pv, dm)
 
     pieces = list(_blocks(n, phi, m, rows=_SUM_ROWS))
     _run_blocks(sum_pieces, (pieces[i:i + _GROUP_PIECES] for i in range(0, len(pieces), _GROUP_PIECES)),

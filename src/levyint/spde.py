@@ -180,7 +180,9 @@ def stochastic_convolution(
 
     Computed by the one-step recursion Y_{j+1} = S_{dt_j}(Y_j + phi_j dX_j),
     whose accumulated decay factors equal the exact exponentials
-    e^{-mu_k (t_j - t_i)}; no operator splitting is involved.
+    e^{-mu_k (t_j - t_i)}; no operator splitting is involved.  The
+    recursion runs time-major, and the result's values are a read-only
+    path-major view of the buffer it wrote, not a copy.
     """
     if not phi.adapted:
         raise AdaptednessError("convolution integrand must be adapted")
@@ -193,7 +195,7 @@ def stochastic_convolution(
         raise ConsistencyError(f"integrand dim {phi.dim} != operator dim {op.dim}")
     grid = phi.grid
     decay = np.exp(-np.outer(grid.dt, op.eigenvalues))  # (n_steps, dim)
-    # time-major internally: contiguous per-step slices keep the recursion
+    # time-major: contiguous per-step slices keep the recursion
     # memory-friendly; elementwise operation order (hence the result) is
     # unchanged by the layout
     pv = np.ascontiguousarray(np.transpose(phi.values, (1, 0, 2)))
@@ -202,12 +204,15 @@ def stochastic_convolution(
     out[0] = 0.0
     for _ in _sweep(decay, out, lambda j: pv[j] * dx[j][:, None]):
         pass
-    return PathEnsemble(
-        values=np.ascontiguousarray(np.transpose(out, (1, 0, 2))),
-        grid=grid,
-        adapted=True,
-        continuous=x.continuous,
-    )
+    return _path_major(out, grid, x.continuous)
+
+
+def _path_major(buf: np.ndarray, grid: TimeGrid, continuous: bool) -> PathEnsemble:
+    """The adapted ensemble of the time-major ``buf`` (n_points, n_paths,
+    dim), frozen and returned as its path-major view: no copy is made."""
+    buf.flags.writeable = False
+    return PathEnsemble(values=np.transpose(buf, (1, 0, 2)), grid=grid, adapted=True,
+                        continuous=continuous)
 
 
 @dataclass(frozen=True)
@@ -261,8 +266,9 @@ def mild_solution_picard(
 
     Memory scales as n_paths * n_points * dim: the iteration holds one
     time-major solution and the driver increments, plus a drive, a product
-    and a gap buffer of one step each (n_paths * dim, made once per window),
-    and the path-major solution returned is a second copy.  Chunk large
+    and a gap buffer of one step each (n_paths * dim, made once per window).
+    The solution returned is that iterate, frozen and seen path-major (its
+    ``values`` are a read-only transposed view), not a copy.  Chunk large
     ensembles with ``path_offset`` (per-path streams make chunked runs
     reproduce the corresponding slice of a single large run).
     """
@@ -293,33 +299,9 @@ def mild_solution_restarted(
     equation as a fully converged single-block run.
 
     The iteration holds one time-major solution (plus the driver
-    increments); the path-major copy returned is a second, so at return the
-    peak is two solutions.
+    increments), and the solution returned is a read-only path-major view
+    of it, so at return the peak is one solution.
     """
-    vals, reports, continuous = _mild_solution(
-        problem, grid, n_paths, seed, tol, max_iter, n_blocks, path_offset)
-    solution = PathEnsemble(
-        values=np.ascontiguousarray(np.transpose(vals, (1, 0, 2))),
-        grid=grid,
-        adapted=True,
-        continuous=continuous,
-    )
-    return solution, reports
-
-
-def _mild_solution(
-    problem: SpdeProblem,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    tol: float,
-    max_iter: int,
-    n_blocks: int,
-    path_offset: int,
-) -> tuple[np.ndarray, tuple[PicardReport, ...], bool]:
-    """``mild_solution_restarted`` without the path-major copy: the
-    time-major values (n_points, n_paths, dim), the block reports, and
-    whether every driver is continuous."""
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
@@ -346,7 +328,7 @@ def _mild_solution(
         )
         for b0, b1 in zip(bounds[:-1], bounds[1:])
     )
-    return vals, reports, continuous
+    return _path_major(vals, grid, continuous), reports
 
 
 def _sweep(

@@ -167,6 +167,7 @@ def _linear_benchmark(dim=10):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_linear_spde_oracle():
     # the left-endpoint convolution has a relative variance bias of about
     # mu_k * h, so the grid must satisfy mu_max * h << 5%; h = 2e-4 keeps the

@@ -676,6 +676,31 @@ class TestExitCodes:
     def test_unreadable_config(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_grid_of_points_runs(self, tmp_path, capsys):
+        points = [0.0, 0.25, 0.5, 1.0]
+        cfg = {**_small_configs(tmp_path)["simulate"], "grid": {"points": points}}
+        assert main(["simulate", "--config", _write(tmp_path, "points.json", cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        stem = f"simulate-{parse_config({**cfg, 'experiment': 'simulate'}).config_hash}"
+        rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == points
+
+    @pytest.mark.parametrize("kind, text, named", [
+        ("simulate", '{"seed": 1, ', "is not valid JSON"),
+        ("simulate", "[1, 2]", "must hold a JSON object"),
+        ("spde", None, "spde.sigmas[0] section must be a mapping"),
+    ], ids=["invalid_json", "json_array", "sigma_not_a_mapping"])
+    def test_config_file_that_is_no_config_is_config_error(self, tmp_path, capsys, kind, text, named):
+        path = tmp_path / "bad.json"
+        if text is None:
+            cfg = _small_configs(tmp_path)["spde"]
+            text = json.dumps({**cfg, "spde": {**cfg["spde"], "sigmas": [5]}})
+        path.write_text(text)
+        assert main([kind, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
+        assert "Traceback" not in err[0]
+
     def test_failed_check_is_status_one(self, tmp_path):
         # an impossible z bound turns an honest pass into a reported failure
         cfg = {**_small_configs(tmp_path)["isometry"],
@@ -1022,7 +1047,6 @@ class TestJumpLimit:
         monkeypatch.setattr(cli, "simulate_paths", _no_simulation)
         monkeypatch.setattr(cli, "poisson_identity_check", _no_simulation)
         monkeypatch.setattr(cli, "mild_solution_picard", _no_simulation)
-        monkeypatch.setattr(cli, "_mild_solution", _no_simulation)
         cfg = {**_small_configs(tmp_path)[kind], **patch}
         with pytest.raises(ConfigError, match="expected jumps"):
             parse_config({**cfg, "experiment": kind})

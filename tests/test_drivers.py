@@ -78,6 +78,32 @@ class TestSpecValidation:
         last = li.simulate_paths(spec, grid100, 1, 0, path_offset=2**64 - 1)
         assert np.array_equal(last_two.values[1:], last.values)
 
+    @pytest.mark.parametrize("arg, value", [
+        ("path_offset", 1.5), ("seed", 3.7), ("n_paths", 2.0), ("path_offset", True),
+        ("seed", np.float64(3.0)), ("n_paths", np.bool_(True)),
+    ], ids=["offset_fraction", "seed_fraction", "n_paths_float", "offset_bool", "seed_numpy_float",
+            "n_paths_numpy_bool"])
+    def test_non_integral_or_boolean_argument_rejected(self, arg, value):
+        # a fractional offset or seed used to be truncated: 1.5 simulated the
+        # ensemble of offset 1, and 3.7 that of seed 3
+        grid = li.TimeGrid.uniform(1.0, 8)
+        args = {"n_paths": 2, "seed": 3, "path_offset": 1, arg: value}
+        with pytest.raises(ParameterError, match=f"{arg} must be an integer"):
+            li.simulate_paths(li.Brownian(), grid, **args)
+
+    def test_numpy_integers_accepted(self):
+        grid = li.TimeGrid.uniform(1.0, 8)
+        plain = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid, 3, 5, path_offset=7)
+        numpy = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid, np.int32(3), np.uint64(5),
+                                  path_offset=np.int64(7))
+        assert np.array_equal(plain.values, numpy.values)
+        assert li.child_seed(np.int64(5), np.uint8(1)) == li.child_seed(5, 1)
+
+    @pytest.mark.parametrize("seed, index", [(3.7, 0), (3, 1.0), (True, 0), (3, False)])
+    def test_child_seed_needs_integers(self, seed, index):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            li.child_seed(seed, index)
+
 
 class TestBracketRate:
     def test_unit_brownian(self):

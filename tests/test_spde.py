@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -593,6 +594,113 @@ class TestSweepCount:
         _, rep = li.mild_solution_picard(_readme_problem(), li.TimeGrid.uniform(1.0, 64), 200, 1,
                                          tol=tol, max_iter=max_iter)
         assert len(sweeps) == rep.iterations == n_sweeps
+
+
+def _view_problem():
+    """State-dependent, three modes, one Brownian driver: a solution whose
+    every reduction applies (continuous, so it has left limits)."""
+    return li.SpdeProblem(
+        operator=li.heat_operator(3),
+        h0=np.array([1.0, 0.5, -0.25]),
+        alpha=li.scaled_identity(0.25),
+        alpha_lipschitz=0.25,
+        sigmas=(li.scaled_identity(0.5),),
+        sigma_lipschitz=(0.5,),
+        drivers=(li.Brownian(volatility=1.0),),
+    )
+
+
+def _reduction_outputs(sol, other, x):
+    """Every public reduction of the solution ``sol`` (against ``other``, a
+    second solution, and ``x``, its driver's paths), as float arrays."""
+    spec, grid, op = li.Brownian(volatility=1.0), sol.grid, li.heat_operator(3)
+    modulus = li.ms_continuity_modulus(sol)
+    embedding = li.embedding_norm_check(sol)
+    isometry = li.ito_isometry_check(sol, spec, x)
+    return [
+        li.second_moments(sol), li.sup_l2_norm(sol), li.l2_distance(sol, other),
+        li.l2_distance(sol, li.PathEnsemble.deterministic(grid, 1.0, dim=3)),
+        modulus.norms, modulus.standard_errors,
+        li.riemann_sum(sol, x, grid).values,
+        li.riemann_sum(sol, x, li.uniform_partition(grid, 1.0, 0.0625)).values,
+        li.integral_process(sol, x).values, li.bochner_integral(sol).values,
+        [embedding.time_integral, embedding.bound],
+        [isometry.lhs, isometry.rhs, isometry.se_lhs, isometry.se_rhs, isometry.z_score],
+        li.increment_independence_z(sol, x),
+        li.stochastic_convolution(op, sol, spec, x).values,
+        li.stochastic_convolution(op, li.PathEnsemble.deterministic(grid, 1.0, dim=3), spec, x).values,
+    ]
+
+
+class TestSolutionView:
+    """A solver returns a read-only path-major view of the time-major buffer
+    it swept, not a copy.  Every reduction reads such a view in contiguous
+    blocks (``ensembles._blocks``), so it gives the bits it gives on a
+    contiguous copy; numpy sums a strided block in another order."""
+
+    @pytest.mark.parametrize("n_paths", [2, 300, 5000])
+    def test_reductions_match_a_contiguous_copy(self, n_paths):
+        grid = li.TimeGrid.uniform(1.0, 64)
+        sol, _ = li.mild_solution_picard(_view_problem(), grid, n_paths, 4, tol=1e-6, max_iter=8)
+        other, _ = li.mild_solution_picard(_view_problem(), grid, n_paths, 5, tol=1e-6, max_iter=8)
+        assert not sol.values.flags.c_contiguous and not sol.values.flags.writeable
+        assert np.moveaxis(sol.values, 1, 0).flags.c_contiguous
+        x = li.simulate_paths(li.Brownian(volatility=1.0), grid, n_paths, li.child_seed(4, 0))
+        copy, other_copy = (e.with_values(np.ascontiguousarray(e.values)) for e in (sol, other))
+        assert copy.values.flags.c_contiguous
+        for on_view, on_copy in zip(_reduction_outputs(sol, other, x),
+                                    _reduction_outputs(copy, other_copy, x)):
+            on_view, on_copy = (np.ascontiguousarray(a, dtype=np.float64) for a in (on_view, on_copy))
+            assert on_view.tobytes() == on_copy.tobytes()
+
+    def test_read_only_values_are_kept_as_given(self):
+        grid = li.TimeGrid.uniform(1.0, 4)
+        buf = np.arange(5 * 3 * 2, dtype=np.float64).reshape(5, 3, 2)
+        buf.flags.writeable = False
+        view = np.transpose(buf, (1, 0, 2))
+        assert li.PathEnsemble(view, grid).values is view
+        writable = np.transpose(np.arange(30.0).reshape(5, 3, 2), (1, 0, 2))
+        kept = li.PathEnsemble(writable, grid).values
+        assert kept.flags.c_contiguous and not kept.flags.writeable
+        assert np.array_equal(kept, writable)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSolutionMemory:
+    """A solve holds one solution: the iterate it sweeps is the solution it
+    returns, and the convolution returns the buffer its recursion wrote.
+    A path-major copy of the buffer would hold one more solution at return."""
+
+    n_paths, steps, dim = 2000, 200, 10
+    solution = n_paths * (steps + 1) * dim * 8
+
+    @pytest.mark.parametrize("problem", [
+        _linear_problem(dim),
+        replace(_readme_problem(), h0=np.ones(dim)),
+    ], ids=["state_free", "state_dependent"])
+    def test_picard_peak_is_one_solution(self, problem):
+        grid = li.TimeGrid.uniform(1.0, self.steps)
+        peak = _traced_peak(li.mild_solution_picard, problem, grid, self.n_paths, 3,
+                            tol=1e-12, max_iter=2)
+        assert peak <= 1.5 * self.solution
+
+    def test_convolution_peak_is_its_input_and_one_solution(self):
+        # the recursion reads a time-major copy of phi and writes one buffer
+        grid = li.TimeGrid.uniform(1.0, self.steps)
+        spec = li.Brownian(volatility=1.0)
+        x = li.simulate_paths(spec, grid, self.n_paths, 6)
+        phi = li.PathEnsemble(np.repeat(x.values, self.dim, axis=2), grid, adapted=True)
+        peak = _traced_peak(li.stochastic_convolution, li.heat_operator(self.dim), phi, spec, x)
+        assert peak <= 2.5 * self.solution
 
 
 class TestSolverVariance:
