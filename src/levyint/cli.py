@@ -362,7 +362,7 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    checks: list  # (name, passed, value) triples
+    checks: list  # (name, passed, record) triples
     columns: tuple[str, ...]
     rows: np.recarray  # one record per CSV row, a field per column
     extra: dict
@@ -378,6 +378,16 @@ class RunResult:
 def _table(columns: tuple[str, ...], *arrays) -> tuple[tuple[str, ...], np.recarray]:
     """A CSV table: its columns, and one record per row with a field per column."""
     return columns, np.rec.fromarrays(list(arrays), names=columns)
+
+
+def _z_check(name: str, value: float, expected: float, se: float, bound: float,
+             passes=lambda z, bound: abs(z) <= bound) -> tuple[str, bool, dict]:
+    """A statistical check's ``(name, passed, record)``: z is ``value -
+    expected`` over ``se``, and the check passes when ``passes(z, bound)``.
+    A check with too few paths to form an SE gives ``se`` inf, and fails."""
+    z = float(_z_score(value - expected, se))
+    record = {"value": value, "expected": expected, "se": se, "z": z, "bound": bound}
+    return name, math.isfinite(se) and passes(z, bound), record
 
 
 # Bytes of a block of grid points in the moment table.  No block holds a lone
@@ -410,11 +420,8 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     c = spec.bracket_rate()
     var, se = map(float, _moments(ens.values[:, -1, 0] - spec.martingale_drift * grid.horizon)[2:])
     se = se if cfg.paths > 2 else np.inf  # the SE of a variance needs three paths
-    k = cfg.tolerances["se_multiplier"]
-    checks = [
-        ("terminal_variance_matches_bracket", cfg.paths > 2 and abs(var - c * grid.horizon) <= k * se,
-         {"variance": var, "expected": c * grid.horizon, "se": se}),
-    ]
+    checks = [_z_check("terminal_variance_matches_bracket", var, c * grid.horizon, se,
+                       cfg.tolerances["se_multiplier"])]
     return RunResult(cfg, checks, *_moment_table(grid.points, np.moveaxis(ens.values, 1, 0)),
                      {"bracket_rate": c, "sup_l2_norm": sup_l2_norm(ens)})
 
@@ -431,9 +438,7 @@ def _run_integrate(cfg: ExperimentConfig) -> RunResult:
         checks.append(("telescoping", resid < cfg.tolerances["exact"], {"residual": resid}))
     if spec.martingale_drift == 0.0 and cfg.paths > 2:
         mean, se = _mean_se(terminal)
-        k = cfg.tolerances["se_multiplier"]
-        checks.append(("martingale_mean_zero", abs(_z_score(mean, se)) <= k,
-                       {"mean": mean, "se": se}))
+        checks.append(_z_check("martingale_mean_zero", mean, 0.0, se, cfg.tolerances["se_multiplier"]))
     return RunResult(cfg, checks, *_table(("path", "terminal_value"), np.arange(cfg.paths), terminal),
                      {"integrand": cfg.integrand})
 
@@ -459,8 +464,8 @@ def _run_isometry(cfg: ExperimentConfig) -> RunResult:
             rhs[sl] = block_rhs
         del x  # so the next block is not simulated beside this one
     report = _isometry_report(lhs, rhs)
-    z_max = cfg.tolerances["z_max"]
-    checks = [("isometry_z", abs(report.z_score) < z_max, report.record())]
+    checks = [_z_check("isometry_z", report.mean_difference, 0.0, report.se_difference,
+                       cfg.tolerances["z_max"], passes=lambda z, bound: abs(z) < bound)]
     table = _table(("lhs", "rhs", "se_lhs", "se_rhs", "z"), [report.lhs], [report.rhs],
                    [report.se_lhs], [report.se_rhs], [report.z_score])
     return RunResult(cfg, checks, *table, {"integrand": cfg.integrand})
@@ -521,16 +526,14 @@ def _run_diagnostics(cfg: ExperimentConfig) -> RunResult:
     sol_f, _ = _picard(cfg, fine)
     diag_c = solution_diagnostics(sol_c)
     diag_f = solution_diagnostics(sol_f)
-    k = cfg.tolerances["se_multiplier"]
-    slack = k * (diag_c.modulus.max_standard_error + diag_f.modulus.max_standard_error)
-    # a standard error needs two paths; with one the check fails
-    shrinks = cfg.paths > 1 and diag_f.modulus.max_norm < diag_c.modulus.max_norm - slack
+    coarse, fine = diag_c.modulus, diag_f.modulus
+    # a standard error needs two paths
+    se = coarse.max_standard_error + fine.max_standard_error if cfg.paths > 1 else np.inf
     checks = [
         ("solution_adapted", diag_c.adapted, {}),
-        ("modulus_shrinks_under_refinement", shrinks,
-         {"coarse": diag_c.modulus.max_norm, "fine": diag_f.modulus.max_norm, "slack": slack}),
+        _z_check("modulus_shrinks_under_refinement", fine.max_norm, coarse.max_norm, se,
+                 cfg.tolerances["se_multiplier"], passes=lambda z, bound: z < -bound),
     ]
-    coarse, fine = diag_c.modulus, diag_f.modulus
     table = _table(("resolution", "gap", "increment_norm"),
                    np.repeat(["coarse", "fine"], [coarse.gaps.size, fine.gaps.size]),
                    np.concatenate([coarse.gaps, fine.gaps]), np.concatenate([coarse.norms, fine.norms]))
@@ -629,7 +632,7 @@ def _load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

@@ -86,7 +86,8 @@ def _run_blocks(fn: Callable, blocks, rows: int, points: int) -> list:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only C-contiguous float64 form of ``a`` (a 0-d array stays 0-d)."""
+    out = np.asarray(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 
@@ -98,7 +99,7 @@ class TimeGrid:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _readonly(np.asarray(self.points, dtype=np.float64).ravel())
+        pts = _readonly(np.array(self.points, dtype=np.float64).ravel())
         object.__setattr__(self, "points", pts)
         if pts.size < 2:
             raise GridError("a grid needs at least one interval")

@@ -26,8 +26,9 @@ from .tolerances import DEFAULTS
 class IsometryReport:
     """Both sides of the isometry with standard errors and a z-score.
 
-    The z-score is computed from the per-path difference of the two sides
-    (common random numbers), so it is directly comparable against a normal
+    The z-score is ``mean_difference`` over ``se_difference``, the mean of
+    the per-path difference of the two sides (common random numbers) and
+    its standard error, so it is directly comparable against a normal
     quantile.
     """
 
@@ -35,17 +36,10 @@ class IsometryReport:
     rhs: float
     se_lhs: float
     se_rhs: float
+    mean_difference: float
+    se_difference: float
     z_score: float
     n_paths: int
-
-    def record(self) -> dict[str, float]:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "se_lhs": self.se_lhs,
-            "se_rhs": self.se_rhs,
-            "z": self.z_score,
-        }
 
 
 @dataclass(frozen=True)
@@ -159,8 +153,8 @@ def _isometry_report(lhs_samples: np.ndarray, rhs_samples: np.ndarray) -> Isomet
         lhs_samples - (rhs_samples if rhs_samples.size == lhs_samples.size else rhs)
     )
     return IsometryReport(
-        lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs,
-        z_score=float(_z_score(mean_diff, se_diff)), n_paths=lhs_samples.size
+        lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs, mean_difference=mean_diff,
+        se_difference=se_diff, z_score=float(_z_score(mean_diff, se_diff)), n_paths=lhs_samples.size
     )
 
 

@@ -31,7 +31,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .drivers import LevySpec, _check_driver, child_seed, simulate_paths
-from .ensembles import ModulusReport, PathEnsemble, TimeGrid, _pairing, _run_blocks, ms_continuity_modulus
+from .ensembles import (ModulusReport, PathEnsemble, TimeGrid, _pairing, _readonly, _run_blocks,
+                        ms_continuity_modulus)
 from .errors import AdaptednessError, ConsistencyError, DomainError, NumericError, ParameterError
 
 CoefficientMap = Callable[[float, np.ndarray], np.ndarray]
@@ -44,8 +45,7 @@ class SpectralOperator:
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=np.float64).ravel())
-        mu.flags.writeable = False
+        mu = _readonly(np.array(self.eigenvalues, dtype=np.float64).ravel())
         object.__setattr__(self, "eigenvalues", mu)
         if mu.size < 1:
             raise ParameterError("operator needs at least one eigenvalue")
@@ -98,8 +98,7 @@ class SpdeProblem:
     drivers: tuple[LevySpec, ...] = ()
 
     def __post_init__(self) -> None:
-        h0 = np.ascontiguousarray(np.asarray(self.h0, dtype=np.float64).ravel())
-        h0.flags.writeable = False
+        h0 = _readonly(np.array(self.h0, dtype=np.float64).ravel())
         object.__setattr__(self, "h0", h0)
         if h0.size != self.operator.dim:
             raise ParameterError("h0 dimension does not match the operator")
@@ -126,7 +125,7 @@ class constant_map:
     lipschitz = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=np.float64))
+        object.__setattr__(self, "value", _readonly(np.array(self.value, dtype=np.float64)))
 
     def __call__(self, t: float, state: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.value, state.shape)

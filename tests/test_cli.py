@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyint as li
-from levyint import cli, drivers
+from levyint import cli, drivers, ensembles
 from levyint.cli import (
     EXPERIMENTS,
     driver_from_config,
@@ -340,12 +340,14 @@ class TestSimulateMomentTable:
         assert np.isnan(rows[:, 3:]).all()
 
     # sha256 of the manifest without its ``versions``, recorded while the CSV
-    # was still one row per path and grid point
+    # was still one row per path and grid point, and re-recorded when every
+    # statistical check came to record {value, expected, se, z, bound} (the
+    # rest of each manifest, its verdicts included, stayed the same)
     _MANIFESTS = {
-        1: "54ea719e392c40aaa539f2575c64f767db5468d738865075934c796f88b6c185",
-        2: "3e4a5555e57472e40288a1120893b53c88c8dab90cae9d641e1426ab064b6368",
-        3: "734cc87e2acb6fa91d3fac7f6acb260365e228e45630f445b2413d0bdedb20da",
-        64: "306ed4c9f157aa357d575c8b82dfd0888102439e532d51f0aeec570ed24e3cd7",
+        1: "01f835f3bea876b9e48b66745c4a653178ad1e38b2eb3e26b15e3dab6f97cebc",
+        2: "7f72bb67d3d59c390878a1b3ca76dc780f3ca53db74b090cf17d469ef0c4d8cc",
+        3: "ef52a57d74261c0e146fa335c73e5704d8eb54d9eb678d8adda69b6ec721c950",
+        64: "183f87333a402cd67d6da0a60a65ccda12a978d6814fbfe6bce714d99ae66be5",
     }
 
     @pytest.mark.parametrize("paths", list(_MANIFESTS))
@@ -360,10 +362,10 @@ class TestSimulateMomentTable:
         assert hashlib.sha256(body).hexdigest() == self._MANIFESTS[paths]
         # too few paths give a variance of 0.0 (one path) and an SE of inf
         # (below three), written as null: never nan
-        detail = cli._RUNNERS["simulate"](parse_config({**cfg, "experiment": "simulate"})).checks[0][2]
-        assert not np.isnan(list(detail.values())).any()
-        assert (detail["variance"] == 0.0) == (paths == 1)
-        assert (detail["se"] == INF) == (paths < 3)
+        record = cli._RUNNERS["simulate"](parse_config({**cfg, "experiment": "simulate"})).checks[0][2]
+        assert not np.isnan(list(record.values())).any()
+        assert (record["value"] == 0.0) == (paths == 1)
+        assert (record["se"] == INF) == (paths < 3)
 
 
 class TestMomentBlocks:
@@ -447,12 +449,15 @@ class TestIsometryBlocks:
         cfg = self._config(self._DRIVERS[driver], integrand, paths, 16)
         result = cli._run_isometry(cfg)
         x = li.simulate_paths(cfg.driver, cfg.grid, paths, cfg.seed)
-        expected = li.ito_isometry_check(cli._INTEGRANDS[integrand](x), cfg.driver, x).record()
-        (_, _, detail), = result.checks
-        assert list(detail) == list(expected)
-        assert np.array(list(detail.values())).tobytes() == np.array(list(expected.values())).tobytes()
+        expected = li.ito_isometry_check(cli._INTEGRANDS[integrand](x), cfg.driver, x)
+        (_, _, record), = result.checks
+        assert list(record) == ["value", "expected", "se", "z", "bound"]
+        fields = [record[key] for key in ("value", "se", "z")]
+        whole = [expected.mean_difference, expected.se_difference, expected.z_score]
+        assert np.array(fields).tobytes() == np.array(whole).tobytes()
         row = [result.rows[c][0] for c in result.columns]
-        assert np.array(row).tobytes() == np.array(list(expected.values())).tobytes()
+        whole = [expected.lhs, expected.rhs, expected.se_lhs, expected.se_rhs, expected.z_score]
+        assert np.array(row).tobytes() == np.array(whole).tobytes()
 
     def test_traced_peak_does_not_grow_with_the_paths(self):
         driver = {"kind": "compensated_poisson", "rate": 2.0}
@@ -518,18 +523,21 @@ class TestArtifactGoldens:
     ``simulate`` digest was re-recorded when its CSV became the per-t moment
     table (its manifest stayed byte-identical), and ``spde_one_mode`` was
     recorded then: a one-mode table now sums the paths in row order, where
-    it had summed them pairwise (the two differ in the last bits).  Float
-    bits of ``np.exp`` may differ on other hardware: a mismatch there means
-    re-record, not a bug."""
+    it had summed them pairwise (the two differ in the last bits).  The
+    ``simulate``, ``integrate``, ``isometry`` and ``diagnostics`` digests
+    were re-recorded when every statistical check came to record {value,
+    expected, se, z, bound}; every CSV and every manifest's verdicts and
+    ``extra`` stayed byte-identical.  Float bits of ``np.exp`` may differ on
+    other hardware: a mismatch there means re-record, not a bug."""
 
     _GOLDEN = {
-        "simulate": "8998affc2f789b5361d10c8c1077e1b200e886014d95b3c99cda5695791c7ac4",
-        "integrate": "4eabb264dc84f02bad54d583b78b58f8d0e5d99bd276840260b2d40fa6a58d9d",
-        "isometry": "2388dc4aa6ec3438a575783ad7206e8c0f54cb293d35e665f401efb45fbaebfd",
+        "simulate": "296b01bf8e007ae259996c5211a54cbd51b338fdd51d00592bfa2949bc4ae55a",
+        "integrate": "8560f25501803908f81b041d4818260d8880dc47872246daef1f82148c3e03c2",
+        "isometry": "f0f4b030d5ffb5c681f0ebb455289c7da502cc5b789acfbbed34982f7a4eeee3",
         "poisson-identity": "08cb4e687c25e9eadd1ee98cc65aa746b512c350a0db43349c8726f31aac0ba7",
         "converge": "58b4e478c6a78706ce7c9dfe8df0b03ccf43a5a852f13a00f08eb1025fb95e0e",
         "spde": "113e8d43780b9d3c1314dc8ae8b2062d908c13964572aad43469e6f17fb2fd39",
-        "diagnostics": "03493dd8d03b4d2e89953d36c691a44c5784ed13a89dfbd850a3e7cb07ae4523",
+        "diagnostics": "0b9996d4311b52bf79a1bce98634186be4199a2336c8cfa07cc5665046f6948b",
         "spde_eigenvalues": "b0b510c487b3f8dd792b6c8401546b8198f823f2b0b7039b8d819cda5a81d478",
         "spde_one_mode": "0d33d12efd791d9c057d7414ca9ccf4e8acade854a5d30d1f1b99e937a8bfece",
     }
@@ -620,6 +628,85 @@ class TestNoPassWithoutEvidence:
         assert json.loads((tmp_path / f"{stem}.manifest.json").read_text())["passed"] is False
 
 
+# each statistical check, and the comparison of its z with its bound
+_Z_CHECKS = {
+    "simulate": ("terminal_variance_matches_bracket", lambda z, bound: abs(z) <= bound),
+    "integrate": ("martingale_mean_zero", lambda z, bound: abs(z) <= bound),
+    "isometry": ("isometry_z", lambda z, bound: abs(z) < bound),
+    "diagnostics": ("modulus_shrinks_under_refinement", lambda z, bound: z < -bound),
+}
+
+
+def _z_record(kind, cfg):
+    """Verdict and record of ``kind``'s statistical check, None if it did not run."""
+    name, _ = _Z_CHECKS[kind]
+    checks = cli._RUNNERS[kind](parse_config({**cfg, "experiment": kind})).checks
+    found = [(ok, record) for check, ok, record in checks if check == name]
+    return found[0] if found else None
+
+
+def _look_ahead(x):
+    """An integrand that reads the continuous driver one step ahead,
+    phi_{t_i} = X_{t_{i+1}}, wrongly marked adapted."""
+    return li.PathEnsemble(np.concatenate([x.values[:, 1:], x.values[:, -1:]], axis=1),
+                           x.grid, adapted=True, continuous=True)
+
+
+class TestCheckRecord:
+    """Every statistical check records {value, expected, se, z, bound}, with
+    z = (value - expected) / se as ``_z_score`` forms it and the verdict the
+    check's own comparison of z with its bound; an SE that cannot be formed
+    is inf and fails."""
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, None])
+    @pytest.mark.parametrize("kind", list(_Z_CHECKS))
+    def test_record_holds_the_verdict(self, kind, paths):
+        _, passes = _Z_CHECKS[kind]
+        bound = DEFAULTS["z_max" if kind == "isometry" else "se_multiplier"]
+        for seed in (1, 2, 3):
+            cfg = {**_small_configs(".")[kind], "seed": seed}
+            if paths is not None:
+                cfg = {**cfg, "paths": paths}
+            found = _z_record(kind, cfg)
+            if kind == "integrate" and paths is not None and paths < 3:
+                assert found is None  # the mean check skips below three paths
+                continue
+            passed, record = found
+            assert list(record) == ["value", "expected", "se", "z", "bound"]
+            z = float(ensembles._z_score(record["value"] - record["expected"], record["se"]))
+            assert np.float64(record["z"]).tobytes() == np.float64(z).tobytes()
+            assert record["bound"] == bound
+            few = paths is not None and paths < {"simulate": 3, "diagnostics": 2}.get(kind, 0)
+            assert (record["se"] == INF) == few
+            assert passed == (np.isfinite(record["se"]) and passes(record["z"], record["bound"]))
+
+    # one planted error per check: each fails on its seed with |z| past the bound
+    def test_scaled_bracket_rate_fails_simulate(self, monkeypatch):
+        bracket_rate = li.Brownian.bracket_rate
+        monkeypatch.setattr(li.Brownian, "bracket_rate", lambda spec: 1.3 * bracket_rate(spec))
+        passed, record = _z_record("simulate", {**_small_configs(".")["simulate"], "paths": 1000})
+        assert not passed and abs(record["z"]) > record["bound"]
+
+    @pytest.mark.parametrize("kind, integrand", [("integrate", "driver"),
+                                                 ("isometry", "driver_left_limit")])
+    def test_look_ahead_integrand_fails(self, monkeypatch, kind, integrand):
+        monkeypatch.setitem(cli._INTEGRANDS, integrand, _look_ahead)
+        cfg = {**_small_configs(".")[kind], "driver": {"kind": "brownian"}, "integrand": integrand}
+        passed, record = _z_record(kind, cfg)
+        assert not passed and abs(record["z"]) > record["bound"]
+
+    def test_swapped_solutions_fail_diagnostics(self, monkeypatch):
+        picard = cli._picard
+
+        def swapped(cfg, grid):  # the coarse grid's solution for the fine one, and back
+            steps = cfg.grid.n_intervals * (2 if grid.n_intervals == cfg.grid.n_intervals else 1)
+            return picard(cfg, li.TimeGrid.uniform(grid.horizon, steps))
+
+        monkeypatch.setattr(cli, "_picard", swapped)
+        passed, record = _z_record("diagnostics", _small_configs(".")["diagnostics"])
+        assert not passed and abs(record["z"]) > record["bound"]
+
+
 class TestNonFiniteEvidence:
     """Samples or statistics past the float range are a numeric failure
     (exit 3), and a coefficient map that overflows when spot-checked is a
@@ -689,7 +776,8 @@ class TestExitCodes:
         ("simulate", '{"seed": 1, ', "is not valid JSON"),
         ("simulate", "[1, 2]", "must hold a JSON object"),
         ("spde", None, "spde.sigmas[0] section must be a mapping"),
-    ], ids=["invalid_json", "json_array", "sigma_not_a_mapping"])
+        ("simulate", '{"seed": ' + "[" * 100000 + "]" * 100000 + "}", "is not valid JSON"),
+    ], ids=["invalid_json", "json_array", "sigma_not_a_mapping", "nested_too_deep"])
     def test_config_file_that_is_no_config_is_config_error(self, tmp_path, capsys, kind, text, named):
         path = tmp_path / "bad.json"
         if text is None:

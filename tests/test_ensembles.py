@@ -46,6 +46,26 @@ class TestTimeGrid:
             g.augmented(np.array([1.5]))
 
 
+# constructors that keep an array the caller passed: how to build each from
+# the caller's array, and the array the object keeps
+_KEEPERS = {
+    "TimeGrid.points": (lambda a: li.TimeGrid(a), lambda obj: obj.points),
+    "SpectralOperator.eigenvalues": (lambda a: li.SpectralOperator(a), lambda obj: obj.eigenvalues),
+    "SpdeProblem.h0": (lambda a: li.SpdeProblem(li.heat_operator(3), a), lambda obj: obj.h0),
+    "constant_map.value": (lambda a: li.constant_map(a), lambda obj: obj.value),
+}
+
+
+@pytest.mark.parametrize("name", list(_KEEPERS))
+def test_constructor_keeps_a_read_only_copy(name):
+    build, kept = _KEEPERS[name]
+    given = np.array([0.0, 0.5, 1.0])
+    obj = build(given)
+    given[1] = -5.0  # would break the grid's increase and the eigenvalues' sign
+    np.testing.assert_array_equal(kept(obj), [0.0, 0.5, 1.0])
+    assert given.flags.writeable and not kept(obj).flags.writeable
+
+
 class TestSupL2Norm:
     def test_zero_ensemble(self, grid100):
         e = li.PathEnsemble.deterministic(grid100, 0.0)
