@@ -628,12 +628,17 @@ class TestNoPassWithoutEvidence:
         assert json.loads((tmp_path / f"{stem}.manifest.json").read_text())["passed"] is False
 
 
-# each statistical check, and the comparison of its z with its bound
+# each statistical check, and its verdict written out from the record's
+# value, expected value, SE and bound without going through z (isometry's
+# verdict has always been a comparison of its z with z_max)
 _Z_CHECKS = {
-    "simulate": ("terminal_variance_matches_bracket", lambda z, bound: abs(z) <= bound),
-    "integrate": ("martingale_mean_zero", lambda z, bound: abs(z) <= bound),
-    "isometry": ("isometry_z", lambda z, bound: abs(z) < bound),
-    "diagnostics": ("modulus_shrinks_under_refinement", lambda z, bound: z < -bound),
+    "simulate": ("terminal_variance_matches_bracket",
+                 lambda r: abs(r["value"] - r["expected"]) <= r["bound"] * r["se"]),
+    "integrate": ("martingale_mean_zero",
+                  lambda r: abs(r["value"] - r["expected"]) <= r["bound"] * r["se"]),
+    "isometry": ("isometry_z", lambda r: abs(r["z"]) < r["bound"]),
+    "diagnostics": ("modulus_shrinks_under_refinement",
+                    lambda r: r["value"] < r["expected"] - r["bound"] * r["se"]),
 }
 
 
@@ -655,13 +660,14 @@ def _look_ahead(x):
 class TestCheckRecord:
     """Every statistical check records {value, expected, se, z, bound}, with
     z = (value - expected) / se as ``_z_score`` forms it and the verdict the
-    check's own comparison of z with its bound; an SE that cannot be formed
-    is inf and fails."""
+    check's own comparison of its value with the bound's multiple of its SE
+    (of z with z_max for isometry); an SE that cannot be formed is inf and
+    fails."""
 
     @pytest.mark.parametrize("paths", [1, 2, 3, None])
     @pytest.mark.parametrize("kind", list(_Z_CHECKS))
     def test_record_holds_the_verdict(self, kind, paths):
-        _, passes = _Z_CHECKS[kind]
+        _, verdict = _Z_CHECKS[kind]
         bound = DEFAULTS["z_max" if kind == "isometry" else "se_multiplier"]
         for seed in (1, 2, 3):
             cfg = {**_small_configs(".")[kind], "seed": seed}
@@ -678,7 +684,7 @@ class TestCheckRecord:
             assert record["bound"] == bound
             few = paths is not None and paths < {"simulate": 3, "diagnostics": 2}.get(kind, 0)
             assert (record["se"] == INF) == few
-            assert passed == (np.isfinite(record["se"]) and passes(record["z"], record["bound"]))
+            assert passed == (np.isfinite(record["se"]) and verdict(record))
 
     # one planted error per check: each fails on its seed with |z| past the bound
     def test_scaled_bracket_rate_fails_simulate(self, monkeypatch):
@@ -704,7 +710,8 @@ class TestCheckRecord:
 
         monkeypatch.setattr(cli, "_picard", swapped)
         passed, record = _z_record("diagnostics", _small_configs(".")["diagnostics"])
-        assert not passed and abs(record["z"]) > record["bound"]
+        # the fine modulus now grows: z lies past the bound on the failing side
+        assert not passed and record["z"] > record["bound"]
 
 
 class TestNonFiniteEvidence:
