@@ -276,6 +276,10 @@ _TOLERANCES = {
     "spde": (),
     "diagnostics": ("se_multiplier",),
 }
+# Experiments that build uniform grids from the grid's horizon and steps
+# (diagnostics re-solves on twice the steps; poisson_identity_check takes a
+# horizon and a step count): a grid of points would be replaced, not used.
+_UNIFORM_GRID = {"poisson-identity", "diagnostics"}
 EXPERIMENTS = tuple(_DEFAULTS)
 _EXPERIMENT_KEYS = {
     kind: {"experiment", *_COMMON_DEFAULTS, *defaults} for kind, defaults in _DEFAULTS.items()
@@ -341,6 +345,8 @@ def _parse_config(raw: dict, experiment: str | None) -> ExperimentConfig:
     # diagnostics also solves on a grid of twice the steps
     per_point = paths * (2 if kind == "diagnostics" else 1)
     grid = grid_from_config(grid_cfg, per_point)
+    if kind in _UNIFORM_GRID and "points" in grid_cfg:
+        raise ConfigError(f"{kind} needs grid.horizon and grid.steps, not grid.points")
     if "spde" in cfg:
         parsed["problem"], parsed["tol"], parsed["max_iter"] = _spde_from_config(
             cfg["spde"], per_point * grid.n_points)

@@ -24,7 +24,6 @@ both reproduce one call over all paths only for such a map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -64,8 +63,8 @@ def heat_operator(dim: int) -> SpectralOperator:
 
 def semigroup_apply(op: SpectralOperator, t: float, state: np.ndarray) -> np.ndarray:
     """Apply S_t coordinatewise: state_k * e^{-mu_k t}."""
-    if t < 0:
-        raise DomainError(f"semigroup time must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t}")
     state = np.asarray(state, dtype=np.float64)
     if state.shape[-1] != op.dim:
         raise ConsistencyError(f"state dimension {state.shape[-1]} != operator dim {op.dim}")
@@ -353,36 +352,9 @@ def _sweep(
         out[j + 1] = row
 
 
-# np.einsum sums a contiguous float64 array in pieces of _SQ_PIECE elements,
-# adding each piece's sum to its running total in order from 0.0 (checked by
-# test_piecewise_fold_is_einsum in tests/test_spde.py).  A path block that
-# starts on a piece boundary can therefore sum its own pieces, and the pieces
-# folded in path order give the einsum over all paths.
-_SQ_PIECE = 8192
-# pieces per path block, at least: a pooled block's step must release the
-# GIL for long enough to outweigh the Python work it holds it for
-_BLOCK_PIECES = 4
-
-
-def _piece_sums(gap: np.ndarray, out: np.ndarray) -> None:
-    """The sum of squares of each ``_SQ_PIECE``-element piece of ``gap``
-    (contiguous), in order, into ``out``: the whole pieces in one einsum call,
-    a row each, then the shorter last piece if there is one."""
-    flat = gap.reshape(-1)
-    whole = flat.size // _SQ_PIECE
-    body = flat[:whole * _SQ_PIECE].reshape(whole, _SQ_PIECE)
-    np.einsum("ij,ij->i", body, body, out=out[:whole])
-    if whole * _SQ_PIECE < flat.size:
-        tail = flat[whole * _SQ_PIECE:]
-        out[whole] = np.einsum("i,i->", tail, tail)
-
-
-def _sq_norms(pieces: np.ndarray) -> np.ndarray:
-    """Fold each row of piece sums in order from 0.0, as np.einsum does."""
-    total = np.zeros(pieces.shape[0])
-    for column in pieces.T:
-        total += column
-    return total
+# values per path block and step: a pooled block's step must release the GIL
+# for long enough to outweigh the Python work it holds it for
+_BLOCK_VALUES = 2**15
 
 
 def _picard_window(
@@ -403,11 +375,13 @@ def _picard_window(
 
     A sweep runs in path blocks, on the pool when the window is large (see
     ``ensembles._run_blocks``).  Each path's recursion involves no other
-    path, since coefficient maps act row by row, and each block starts on a
-    ``_SQ_PIECE`` boundary, so the iterates and distances are those of one
-    sweep over all paths.  Each block has a drive, a product and a gap
-    buffer of one step, made once per window, so a step allocates only what
-    the coefficient maps return.  A state-free problem (no alpha, every
+    path, since coefficient maps act row by row, so the iterates are those of
+    one sweep over all paths.  Each block sums its own squared gaps per step,
+    and a distance adds those sums in block order; the blocks depend only on
+    the path count and ``dim``, so the distances are the same on the pool
+    and off it.  Each block has a drive, a product and a gap buffer of one
+    step, made once per window, so a step allocates only what the
+    coefficient maps return.  A state-free problem (no alpha, every
     sigma a ``constant_map``) drives every sweep alike, so its second sweep
     would give the first iterate again: it is not run, and its distance 0.0
     is reported.
@@ -423,23 +397,23 @@ def _picard_window(
         np.multiply(vals[0], flow[j], out=vals[j])
 
     n_paths, dim = vals.shape[1:]
-    # rows per block: the fewest that hold a whole number of pieces, at least
-    # _BLOCK_PIECES of them.  The last block takes the rest, half a block to
-    # one and a half unless it is the only one: a thread with next to no rows
-    # to sweep would only add waiting for the GIL.
-    unit = _SQ_PIECE // math.gcd(_SQ_PIECE, dim)
-    rows = unit * -(-_BLOCK_PIECES * _SQ_PIECE // (unit * dim))
+    # rows per block: the fewest that hold _BLOCK_VALUES values per step.  The
+    # last block takes the rest, half a block to one and a half unless it is
+    # the only one: a thread with next to no rows to sweep would only add
+    # waiting for the GIL.
+    rows = -(-_BLOCK_VALUES // dim)
     starts = [i * rows for i in range(max(1, round(n_paths / rows)))]
-    pieces = np.zeros((pts.size, -(-n_paths * dim // _SQ_PIECE)))
+    # row b holds block b's per-step sums of squared gaps
+    sq = np.zeros((len(starts), pts.size))
     # each block's drive, product and gap buffers are made here, not on a
     # pool thread, and reused by every step and sweep
-    blocks = [(r0, *np.empty((3, r1 - r0, dim))) for r0, r1 in zip(starts, starts[1:] + [n_paths])]
+    blocks = [(sums, r0, *np.empty((3, r1 - r0, dim)))
+              for sums, r0, r1 in zip(sq, starts, starts[1:] + [n_paths])]
 
     def sweep_block(block) -> None:
-        r0, buf, tmp, gap = block
+        sums, r0, buf, tmp, gap = block
         r1 = r0 + len(buf)
         out, incs = vals[:, r0:r1], [inc[:, r0:r1] for inc in increments]
-        sums = pieces[:, r0 * dim // _SQ_PIECE:]
 
         def drive(j: int) -> np.ndarray:
             # each term is formed in tmp and added to buf, the first to 0.0
@@ -453,16 +427,16 @@ def _picard_window(
 
         for k, row in _sweep(decay, out, drive):
             np.subtract(row, out[k], out=gap)
-            _piece_sums(gap, sums[k])
+            sums[k] = np.einsum("pd,pd->", gap, gap)
 
     state_free = problem.alpha is None and all(type(s) is constant_map for s in problem.sigmas)
     distances: list[float] = []
     for _ in range(max_iter):
         # the gate reads a window as pts.size - 1 rows (steps) of
         # n_paths * dim values: per step a block holds the GIL for a fixed
-        # time and releases it over at least _BLOCK_PIECES pieces
+        # time and releases it over about _BLOCK_VALUES values
         _run_blocks(sweep_block, blocks, pts.size - 1, n_paths * dim)
-        d = float(np.sqrt(np.max(_sq_norms(pieces)) / n_paths))
+        d = float(np.sqrt(np.max(sq.sum(axis=0)) / n_paths))
         if not np.isfinite(d):
             raise NumericError("Picard iterate diverged to NaN or overflow")
         distances.append(d)
@@ -484,6 +458,8 @@ def linear_variance_oracle(
     variance at time t is c * sigma_k^2 * (1 - e^{-2 mu_k t}) / (2 mu_k),
     degenerating to c * sigma_k^2 * t for mu_k = 0.
     """
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"oracle time must be finite and nonnegative, got {t}")
     mu = op.eigenvalues
     s = np.asarray(sigma_consts, dtype=np.float64)
     if s.shape != mu.shape:

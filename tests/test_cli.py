@@ -886,6 +886,9 @@ class TestExitCodes:
             ("simulate", {"grid": {"points": [0.0, 0.5, 1.0], "steps": 4}}, "grid takes"),
             ("simulate", {"grid": {"points": [0.0, 0.5, 1.0], "horizon": 5.0}}, "grid takes"),
             ("simulate", {"grid": {"horizon": 1.0}}, "grid.steps is required"),
+            # these build their own uniform grids, which need not hold the points
+            ("diagnostics", {"grid": {"points": [0.0, 0.1, 0.15, 0.7, 1.0]}}, "not grid.points"),
+            ("poisson-identity", {"grid": {"points": [0.0, 0.1, 0.15, 0.7, 1.0]}}, "not grid.points"),
         ],
         ids=["jump_law_no_rate", "jump_law_text", "normal_no_scale", "compensated_text",
              "meshes_text_entry", "meshes_number", "out_number", "rate_nan", "drift_nan",
@@ -893,7 +896,8 @@ class TestExitCodes:
              "z_max_nan", "se_multiplier_zero", "tolerances_null", "paths_bool", "seed_bool", "paths_fraction",
              "steps_fraction", "paths_huge", "paths_huge_points_grid", "steps_huge",
              "mesh_huge", "spde_paths_huge", "mesh_subnormal", "meshes_empty",
-             "grid_points_and_steps", "grid_points_and_horizon", "grid_no_steps"],
+             "grid_points_and_steps", "grid_points_and_horizon", "grid_no_steps",
+             "diagnostics_points_grid", "identity_points_grid"],
     )
     def test_malformed_config_is_config_error(self, tmp_path, capsys, kind, patch, named):
         cfg = {**_small_configs(tmp_path)[kind], **patch}

@@ -198,9 +198,21 @@ _TWO_DRIVERS = li.SpdeProblem(
     sigma_lipschitz=(0.0, 0.0), drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)))
 
 
+def _count_blocks(monkeypatch) -> list:
+    """The number of path blocks of each Picard sweep run from here on."""
+    blocks_per_sweep = []
+
+    def run_blocks(fn, blocks, *gate):
+        blocks_per_sweep.append(len(blocks))
+        return ensembles._run_blocks(fn, blocks, *gate)
+
+    monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+    return blocks_per_sweep
+
+
 class TestPooledPicard:
     # (problem, paths, steps, n_blocks, path_offset): each spans two or more
-    # path blocks (of 4096 rows at ten modes, 8192 at five and 16384 at three)
+    # path blocks (of 3277 rows at ten modes, 6554 at five and 10923 at three)
     @pytest.mark.parametrize("problem, n_paths, steps, n_blocks, offset", [
         (_heat(10, 0.25, 0.25), 10_000, 64, 1, 0),
         (_heat(10, 0.25, 0.25), 9000, 37, 3, 17),
@@ -208,13 +220,7 @@ class TestPooledPicard:
         (_TWO_DRIVERS, 13_000, 100, 2, 17),
     ], ids=["readme", "readme_offset", "stiff_dim3", "two_drivers"])
     def test_bit_identical(self, pooled, monkeypatch, problem, n_paths, steps, n_blocks, offset):
-        blocks_per_sweep = []
-
-        def run_blocks(fn, blocks, *gate):
-            blocks_per_sweep.append(len(blocks))
-            return ensembles._run_blocks(fn, blocks, *gate)
-
-        monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+        blocks_per_sweep = _count_blocks(monkeypatch)
 
         def solve():
             sol, reps = li.mild_solution_restarted(problem, li.TimeGrid.uniform(1.0, steps), n_paths, 21,
@@ -228,30 +234,41 @@ class TestPooledPicard:
         assert (np.signbit(serial) == np.signbit(out)).all()
         assert serial_d == out_d
 
+    @pytest.mark.parametrize("on", [False, True], ids=["serial", "pooled"])
+    def test_distance_is_the_l2_distance_of_the_iterates(self, pooled, monkeypatch, on):
+        # 13000 paths at ten modes are four path blocks, each summing its own
+        # squared gaps; the last distance is the sup-L2 gap between the
+        # first and second iterates, whatever the order of the sums
+        blocks_per_sweep = _count_blocks(monkeypatch)
+        pooled(on)
+        grid = li.TimeGrid.uniform(1.0, 37)
+        first, _ = li.mild_solution_picard(_heat(10, 0.25, 0.25), grid, 13_000, 21, tol=1e-12, max_iter=1)
+        second, report = li.mild_solution_picard(_heat(10, 0.25, 0.25), grid, 13_000, 21,
+                                                 tol=1e-12, max_iter=2)
+        assert report.iterations == 2 and min(blocks_per_sweep) == 4
+        assert report.residual == pytest.approx(li.l2_distance(first, second), rel=1e-12, abs=0.0)
+
     def test_signed_zero_golden(self, pooled, monkeypatch):
         # drive terms of both zero signs (see tests/test_spde.py::TestSignedZeroGoldens);
         # 13000 paths at four modes are blocks of 8192 and 4808 rows.  The
-        # digest was recorded on one thread, before the drive had a product buffer.
+        # solution digest was recorded on one thread, before the drive had a
+        # product buffer, and is pinned apart from the distances, whose last
+        # bits depend on how the blocks' sums are added.
         problem = li.SpdeProblem(
             operator=li.heat_operator(4), h0=np.array([-0.0, 1.0, -0.0, 0.5]),
             alpha=li.scaled_identity(0.5), alpha_lipschitz=0.5,
             sigmas=(li.constant_map(-0.0), li.scaled_identity(0.25)), sigma_lipschitz=(0.0, 0.25),
             drivers=(li.Brownian(volatility=1.0), li.CompensatedPoisson(rate=2.0)))
-        blocks_per_sweep = []
-
-        def run_blocks(fn, blocks, *gate):
-            blocks_per_sweep.append(len(blocks))
-            return ensembles._run_blocks(fn, blocks, *gate)
-
-        monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+        blocks_per_sweep = _count_blocks(monkeypatch)
         pooled(True)
         sol, reps = li.mild_solution_restarted(problem, li.TimeGrid.uniform(1.0, 16), 13_000, 21,
                                                tol=1e-12, max_iter=3, n_blocks=2, path_offset=17)
         assert blocks_per_sweep and min(blocks_per_sweep) == 2
-        h = hashlib.sha256()
-        for a in (sol.values, *(r.distances for r in reps)):
-            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-        assert h.hexdigest() == "f109a82edba78c84cb3dd1fd59504e53a189b557fb81511d23cf398e43046bfb"
+        h = hashlib.sha256(np.ascontiguousarray(sol.values).tobytes())
+        assert h.hexdigest() == "c7875491cc534ce4f584c8f16c12cfa89f4a2bc121a4bd458a8688ed298597ea"
+        assert tuple(r.distances for r in reps) == (
+            (0.08626705255935421, 0.010877625572271673, 0.0014146420981808521),
+            (0.015276543817453433, 0.0019302558050358284, 0.0002832943900918238))
 
     def test_diverging_problem_raises_the_serial_error(self, pooled):
         # superlinear drift: the iterates overflow within a few sweeps; 50000
@@ -268,10 +285,10 @@ class TestPooledPicard:
         assert messages[0] == messages[1]
 
     def test_map_raising_in_the_second_block_raises_the_serial_error(self, pooled):
-        # 6500 paths at ten modes are blocks of 4096 and 2404 rows; the map
+        # 6500 paths at ten modes are blocks of 3277 and 3223 rows; the map
         # fails on the second only
         def sigma(t, state):
-            if len(state) == 2404:
+            if len(state) == 3223:
                 raise ValueError(f"rejected {len(state)} rows at t={t}")
             return 0.25 * state
 
@@ -283,4 +300,4 @@ class TestPooledPicard:
             with pytest.raises(ValueError) as err:
                 li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 32), 6500, 8, max_iter=3)
             messages.append(str(err.value))
-        assert messages[0] == messages[1] == "rejected 2404 rows at t=0.0"
+        assert messages[0] == messages[1] == "rejected 3223 rows at t=0.0"

@@ -8,6 +8,7 @@ from levyint.ensembles import _pairing
 from levyint.errors import (
     AdaptednessError,
     ConsistencyError,
+    DomainError,
     EmptyEnsembleError,
     GridError,
     ParameterError,
@@ -88,3 +89,13 @@ def test_rejection_raises_its_toolkit_error(error, message, call):
     assert issubclass(error, ToolkitError)
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: li.semigroup_apply(li.heat_operator(3), t, np.ones(3)),
+    lambda t: li.linear_variance_oracle(li.heat_operator(3), np.ones(3), li.Brownian(), t),
+], ids=["semigroup", "oracle"])
+def test_time_must_be_finite_and_nonnegative(call, t):
+    with pytest.raises(DomainError, match="time must be finite and nonnegative"):
+        call(t)
