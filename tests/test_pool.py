@@ -301,3 +301,43 @@ class TestPooledPicard:
                 li.mild_solution_picard(problem, li.TimeGrid.uniform(1.0, 32), 6500, 8, max_iter=3)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "rejected 3223 rows at t=0.0"
+
+
+class TestPicardBlocks:
+    """A Picard sweep's path blocks hold ceil(2**15 / dim) rows each, the
+    last the rest, and depend only on the path count and ``dim``; each block
+    sums its own squared gaps, so the distances are the same on the pool
+    and off it, and the last is the sup-L2 gap between the iterates."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7, 10, 16])
+    # path counts in block rows r: one path, r - 1, r, r + 1, 2r - 1, 3r - 1
+    @pytest.mark.parametrize("n_paths, n_blocks", [
+        (lambda r: 1, 1), (lambda r: r - 1, 1), (lambda r: r, 1), (lambda r: r + 1, 1),
+        (lambda r: 2 * r - 1, 2), (lambda r: 3 * r - 1, 3),
+    ], ids=["one", "r-1", "r", "r+1", "2r-1", "3r-1"])
+    def test_blocks_and_distance(self, pooled, monkeypatch, dim, n_paths, n_blocks):
+        rows = -(-2**15 // dim)
+        n_paths = n_paths(rows)
+        layouts = []
+
+        def run_blocks(fn, blocks, *gate):
+            layouts.append([(b[1], len(b[2])) for b in blocks])
+            return ensembles._run_blocks(fn, blocks, *gate)
+
+        monkeypatch.setattr(spde, "_run_blocks", run_blocks)
+        problem, grid = _heat(dim, 0.25, 0.25), li.TimeGrid.uniform(1.0, 4)
+
+        def solve(max_iter):
+            return li.mild_solution_picard(problem, grid, n_paths, 5, tol=1e-12, max_iter=max_iter)
+
+        pooled(False)
+        first, _ = solve(1)
+        (serial, serial_rep), (out, out_rep) = _both(pooled, lambda: solve(2))
+        last = n_paths - (n_blocks - 1) * rows
+        assert layouts and all(
+            layout == [(i * rows, rows) for i in range(n_blocks - 1)] + [((n_blocks - 1) * rows, last)]
+            for layout in layouts)
+        assert n_blocks == 1 or rows / 2 <= last <= 3 * rows / 2
+        _same_bits(serial.values, out.values)
+        assert serial_rep.distances == out_rep.distances and len(out_rep.distances) == 2
+        assert out_rep.residual == pytest.approx(li.l2_distance(first, out), rel=1e-12, abs=0.0)
