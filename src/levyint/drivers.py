@@ -250,6 +250,25 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _path_counts(n_paths, seed, path_offset) -> tuple[int, int, int]:
+    """``(n_paths, seed, path_offset)`` as Python ints: ``ParameterError``
+    unless each is an integer (``_integer``), n_paths >= 1, seed and
+    path_offset >= 0, and the path indices fit the 64-bit counter word."""
+    n_paths = _integer(n_paths, "n_paths")
+    path_offset = _integer(path_offset, "path_offset")
+    seed = _integer(seed, "seed")
+    if n_paths < 1:
+        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
+    if path_offset < 0:
+        raise ParameterError(f"path_offset must be >= 0, got {path_offset}")
+    if path_offset + n_paths > 2**64:
+        raise ParameterError(f"path indices must fit the 64-bit counter word, got path_offset "
+                             f"{path_offset} and n_paths {n_paths}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    return n_paths, seed, path_offset
+
+
 def child_seed(seed: int, index: int) -> int:
     """Derived integer seed for an indexed substream (e.g. one per driver)."""
     seed, index = _integer(seed, "seed"), _integer(index, "stream index")
@@ -390,18 +409,7 @@ def simulate_paths(
         ``perfbench/workloads.py::threads_baseline`` passes it; the keyword
         and the probe are retired together.
     """
-    n_paths = _integer(n_paths, "n_paths")
-    path_offset = _integer(path_offset, "path_offset")
-    seed = _integer(seed, "seed")
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
-    if path_offset < 0:
-        raise ParameterError(f"path_offset must be >= 0, got {path_offset}")
-    if path_offset + n_paths > 2**64:
-        raise ParameterError(f"path indices must fit the 64-bit counter word, got path_offset "
-                             f"{path_offset} and n_paths {n_paths}")
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    n_paths, seed, path_offset = _path_counts(n_paths, seed, path_offset)
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     values = np.empty((n_paths, grid.n_points, 1))
     jumps = None

@@ -396,17 +396,11 @@ def _pairing(a: PathEnsemble, b: PathEnsemble) -> int:
 
 
 def _row_slices(n: int, rows: int | None) -> Iterator[slice]:
-    """Blocks of ``_CHUNK_ROWS`` rows, each cut into pieces of ``rows`` >= 2
-    rows if given.  A cut leaves no row alone: einsum sums a lone row's terms
-    in another order than a block's, so a row stands alone only where the
-    uncut blocks put it."""
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        cuts = range(start, stop, rows or _CHUNK_ROWS)
-        if len(cuts) > 1 and stop - cuts[-1] == 1:
-            cuts = cuts[:-1]
-        for a, b in zip(cuts, (*cuts[1:], stop)):
-            yield slice(a, b)
+    """Consecutive slices of ``rows`` rows, or of ``_CHUNK_ROWS`` if not
+    given, covering n rows; the last takes the rest."""
+    step = rows or _CHUNK_ROWS
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterator[tuple]:
@@ -414,7 +408,7 @@ def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterat
 
     Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
     paired with n > 1 paths comes whole, shape (1, n_points, dim).  Slices
-    hold ``_CHUNK_ROWS`` rows, or about ``rows`` (see ``_row_slices``).
+    hold ``_CHUNK_ROWS`` rows, or ``rows`` if given (see ``_row_slices``).
     Every block is C-contiguous: a view of contiguous values, or a copy of
     one block of values kept in another layout, since numpy sums a block's
     terms in an order that follows its layout, and a reduction must give the

@@ -63,11 +63,9 @@ class MeshStudy:
             raise ConsistencyError("squared differences must be nonnegative")
 
 
-# rows per block in riemann_sum: small blocks keep its increments in cache
-# (each path's sum is the same at any block size, see ensembles._row_slices)
-_SUM_ROWS = 32
-# pieces per task when a large sum runs on the pool (ensembles._run_blocks)
-_GROUP_PIECES = 8
+# rows per block in riemann_sum: small blocks keep its products in cache
+# (each path's sum is the same at any block size)
+_SUM_ROWS = 128
 
 
 def _require_adapted(phi: PathEnsemble) -> None:
@@ -101,22 +99,15 @@ def riemann_sum(
     cols = slice(int(pi[0]), int(pi[-1]) + 1, step) if np.all(np.diff(pi) == step) else pi
     out = np.empty((n, phi.dim))
 
-    def sum_pieces(pieces: list) -> None:
-        for sl, pv, mv in pieces:
-            v = mv[:, cols, 0]
-            # time-major (F-ordered) increments, as numpy lays out the gather
-            # mv[:, pi, 0]: einsum then adds each path's terms in time order
-            # whatever the layout of pv, so the sums keep their bits
-            dm = np.subtract(v[:, 1:], v[:, :-1], order="F")
-            # one row of increments leaves that order to pv's layout, which only
-            # the gather's time-major copy fixes
-            pv = pv[:, cols, :][:, :-1, :] if dm.shape[0] > 1 else pv[:, pi[:-1], :]
-            # a one-path side broadcasts against the other's paths
-            out[sl] = np.einsum("pjd,pj->pd", pv, dm)
+    def sum_block(block: tuple) -> None:
+        sl, pv, mv = block
+        dm = np.diff(mv[:, cols, 0], axis=1)
+        # a one-path side broadcasts against the other's paths; the reduction
+        # adds each path's terms along time alone, so a path's sum does not
+        # depend on its block or its neighbours
+        out[sl] = np.add.reduce(pv[:, cols, :][:, :-1, :] * dm[:, :, None], axis=1)
 
-    pieces = list(_blocks(n, phi, m, rows=_SUM_ROWS))
-    _run_blocks(sum_pieces, (pieces[i:i + _GROUP_PIECES] for i in range(0, len(pieces), _GROUP_PIECES)),
-                n, pi.size)
+    _run_blocks(sum_block, _blocks(n, phi, m, rows=_SUM_ROWS), n, pi.size)
     return RiemannSumResult(values=out)
 
 
@@ -243,7 +234,9 @@ def uniform_partition(grid: TimeGrid, t: float, mesh: float) -> TimeGrid:
     h = float(dt[0])
     if not np.allclose(dt, h, rtol=0, atol=1e-12 * h):
         raise GridError("uniform partitions need a uniform base grid")
-    stride = int(round(mesh / h))
+    ratio = mesh / h
+    # a nan or infinite ratio is no multiple of h
+    stride = round(ratio) if np.isfinite(ratio) else 0
     if stride < 1 or abs(stride * h - mesh) > 1e-9 * h:
         raise GridError(f"mesh {mesh} is not a multiple of the grid spacing {h}")
     end = grid.index_of(t)

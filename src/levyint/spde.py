@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .drivers import LevySpec, _check_driver, child_seed, simulate_paths
+from .drivers import LevySpec, _check_driver, _integer, _path_counts, child_seed, simulate_paths
 from .ensembles import (ModulusReport, PathEnsemble, TimeGrid, _pairing, _readonly, _run_blocks,
                         ms_continuity_modulus)
 from .errors import AdaptednessError, ConsistencyError, DomainError, NumericError, ParameterError
@@ -300,11 +300,12 @@ def mild_solution_restarted(
     increments), and the solution returned is a read-only path-major view
     of it, so at return the peak is one solution.
     """
+    n_paths, seed, path_offset = _path_counts(n_paths, seed, path_offset)
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
+    if _integer(max_iter, "max_iter") < 1:
         raise ParameterError("max_iter must be >= 1")
-    if not 1 <= n_blocks <= grid.n_intervals:
+    if not 1 <= _integer(n_blocks, "n_blocks") <= grid.n_intervals:
         raise ParameterError(f"n_blocks must lie in [1, {grid.n_intervals}]")
     spot_check_lipschitz(problem, grid.horizon, seed=seed)
 

@@ -527,15 +527,19 @@ class TestArtifactGoldens:
     ``simulate``, ``integrate``, ``isometry`` and ``diagnostics`` digests
     were re-recorded when every statistical check came to record {value,
     expected, se, z, bound}; every CSV and every manifest's verdicts and
-    ``extra`` stayed byte-identical.  Float bits of ``np.exp`` may differ on
-    other hardware: a mismatch there means re-record, not a bug."""
+    ``extra`` stayed byte-identical.  The ``converge`` digest was
+    re-recorded (was 58b4e478...) when riemann_sum came to add each path's
+    terms along time alone: its squared differences, their standard errors
+    and its rate exponent moved in their last bits, and its verdicts did
+    not.  Float bits of ``np.exp`` may differ on other hardware: a mismatch
+    there means re-record, not a bug."""
 
     _GOLDEN = {
         "simulate": "296b01bf8e007ae259996c5211a54cbd51b338fdd51d00592bfa2949bc4ae55a",
         "integrate": "8560f25501803908f81b041d4818260d8880dc47872246daef1f82148c3e03c2",
         "isometry": "f0f4b030d5ffb5c681f0ebb455289c7da502cc5b789acfbbed34982f7a4eeee3",
         "poisson-identity": "08cb4e687c25e9eadd1ee98cc65aa746b512c350a0db43349c8726f31aac0ba7",
-        "converge": "58b4e478c6a78706ce7c9dfe8df0b03ccf43a5a852f13a00f08eb1025fb95e0e",
+        "converge": "336439b2e5329b80874611e0a3b99d8515dca86f332d1f47eb27dcdcc90e6390",
         "spde": "113e8d43780b9d3c1314dc8ae8b2062d908c13964572aad43469e6f17fb2fd39",
         "diagnostics": "0b9996d4311b52bf79a1bce98634186be4199a2336c8cfa07cc5665046f6948b",
         "spde_eigenvalues": "b0b510c487b3f8dd792b6c8401546b8198f823f2b0b7039b8d819cda5a81d478",

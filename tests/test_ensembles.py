@@ -434,7 +434,9 @@ class TestJumpTable:
 
 def _reduction_outputs():
     """Every path reduction on fixed ensembles: sampled and deterministic
-    curves on each side, a 2-coordinate integrand, and jumps on grid points."""
+    curves on each side, a 2-coordinate integrand, and jumps on grid points.
+    Returns ``(others, sums)``: ``sums`` holds riemann_sum and the isometry
+    terms formed from it, ``others`` every other output."""
     grid = li.TimeGrid.uniform(1.0, 24)
     part = li.uniform_partition(grid, 1.0, 0.125)
     bw = li.simulate_paths(li.Brownian(), grid, 300, 3)
@@ -452,7 +454,7 @@ def _reduction_outputs():
     curve2 = li.PathEnsemble.deterministic(grid, lambda t: np.stack([t, 1 - t * t], axis=1), dim=2)
     square = li.PathEnsemble.deterministic(grid, lambda t: t * t)
 
-    out = []
+    out, sums = [], []
     for x in (bw, cp, two, ramp):
         out.append(li.second_moments(x))
         rep = li.ms_continuity_modulus(x)
@@ -461,7 +463,7 @@ def _reduction_outputs():
         out.append(li.l2_distance(a, b))
     for phi, m, p in ((bw, cp, grid), (ramp, bw, part), (two, square, grid), (bw, bw, part),
                       (curve2, cp, part)):
-        out.append(li.riemann_sum(phi, m, p).values)
+        sums.append(li.riemann_sum(phi, m, p).values)
     for phi, m in ((bw, cp), (ramp, bw), (two, square), (ramp, square), (curve2, cp)):
         out.append(li.integral_process(phi, m).values)
     for phi in (bw, two, ramp):
@@ -472,41 +474,63 @@ def _reduction_outputs():
     for phi, spec, m in ((bw, li.Brownian(), bw), (ramp, li.Brownian(), bw),
                          (two, cp_spec, cp), (bw, li.Brownian(), square)):
         rep = li.ito_isometry_check(phi, spec, m)
-        out.append([rep.lhs, rep.rhs, rep.se_lhs, rep.se_rhs, rep.z_score])
+        out.append([rep.rhs, rep.se_rhs])
+        sums.append([rep.lhs, rep.se_lhs, rep.z_score])
     for phi in (cp, hit, two):
         out.append(li.projection_vs_left_limit(phi))
-    return out
+    return out, sums
+
+
+def _digest(values):
+    h = hashlib.sha256()
+    for value in values:
+        h.update(np.asarray(value, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 class TestReductionGoldens:
-    """sha256 of every path reduction at three block sizes, recorded before
-    the reductions shared one block iterator; a change here means the
-    numbers changed.  Re-recorded when streamed standard errors came to merge
-    per-block centred sums: only the modulus standard errors and the
-    increment-independence z-scores moved (by at most 4.2e-15 relative).
-    Re-recorded when the increment-independence covariance came to be the
-    mean of centred products over their own standard error: only its
-    z-scores moved; with the former function every other entry gives the
-    former digests."""
+    """sha256 of every path reduction at three block sizes, in two parts; a
+    change here means the numbers changed.
+
+    ``test_reductions`` covers every output not formed from riemann_sum:
+    second moments, moduli, distances, integral processes, the
+    increment-independence z-scores, the isometry right side and the
+    projection gap.  Its digests depend on the block size.  They were
+    recorded when the two parts were split, from the code before that
+    change, and the change left them as they were.  (The digests over both
+    parts moved twice before: when streamed standard errors came to merge
+    per-block centred sums, and when the increment-independence covariance
+    came to be the mean of centred products over their own standard error.)
+
+    ``test_sums`` covers riemann_sum and the isometry left side and z-score
+    formed from it.  Each path's sum is its own, so one digest holds at every
+    block size.  It was recorded when riemann_sum came to add each path's
+    terms along time alone: that reordered each path's additions, so their
+    last bits moved."""
 
     @pytest.mark.parametrize(
         "rows, expect",
         [
-            pytest.param(4096, "d4425d6cb5f012773a694b15ce3b0ea99825a92ad3a4c09d98e9f5dd1034fb93",
+            pytest.param(4096, "614f14d8264ab128c9c8ca296364237e9ff05436e95d7eb9e2d80d646ba85f4e",
                          id="4096"),
-            pytest.param(137, "20fca3f077a3e4e6a859dfd10b1eac5078e345a3c4626f5bc911b8181af80fab",
+            pytest.param(137, "e2ac020ab3e094dd236c1c1da000ca3e80d673a347d5e927d67867eac5b11f3a",
                          id="137"),
-            pytest.param(1, "ca3b2b07417aa3e4f6d8669525520e9efd9a5eadd477284436336ef9ba953505",
+            pytest.param(1, "36cb3c7a9525cec8267692ea726fb38790168eb43a6a190eaeefee76c1560239",
                          id="1"),
         ],
     )
     def test_reductions(self, monkeypatch, rows, expect):
         import levyint.ensembles as ens_mod
+
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        assert _digest(_reduction_outputs()[0]) == expect
+
+    @pytest.mark.parametrize("rows", [4096, 137, 1])
+    def test_sums(self, monkeypatch, rows):
+        import levyint.ensembles as ens_mod
         import levyint.riemann as riemann_mod
 
         monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(riemann_mod, "_SUM_ROWS", rows)
-        h = hashlib.sha256()
-        for value in _reduction_outputs():
-            h.update(np.asarray(value, dtype=np.float64).tobytes())
-        assert h.hexdigest() == expect
+        expect = "a7a64708ab3419747d5321bbde5742511069bc7ed28192b7e0ab2c6f9798bcc4"
+        assert _digest(_reduction_outputs()[1]) == expect

@@ -109,6 +109,21 @@ class TestPooledSimulation:
             assert np.array_equal(chunk.values, whole.values[a:b])
             _same_tables(chunk.jumps, whole.jumps and whole.jumps[a:b])
 
+    @pytest.mark.parametrize("integrand", ["left_limit", "time"])
+    def test_offset_chunks_sum_to_slices_of_one_run(self, pooled, kind, integrand):
+        # each path's sum is its own, whether it sits alone, with a neighbour
+        # or in several blocks of a chunk
+        grid = li.TimeGrid.uniform(1.0, 1000)
+        phi = {"left_limit": li.left_limit,
+               "time": lambda x: li.PathEnsemble.deterministic(grid, lambda t: t)}[integrand]
+        pooled(False)
+        whole = li.simulate_paths(_SPECS[kind], grid, 1061, 15)
+        sums = li.riemann_sum(phi(whole), whole, grid).values
+        pooled(True)
+        for a, b in ((0, 1), (1, 3), (3, 36), (36, 1061)):
+            chunk = li.simulate_paths(_SPECS[kind], grid, b - a, 15, path_offset=a)
+            _same_bits(li.riemann_sum(phi(chunk), chunk, grid).values, sums[a:b])
+
 
 class TestPooledRiemannSum:
     @pytest.fixture(scope="class")

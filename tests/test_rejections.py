@@ -66,6 +66,10 @@ _CASES = {
                                         lambda: li.uniform_partition(li.TimeGrid([0.0, 0.25, 1.0]), 1.0, 0.25)),
     "partition_mesh_not_dividing": (GridError, "does not divide",
                                     lambda: li.uniform_partition(_GRID, 0.625, 0.25)),
+    "partition_nan_mesh": (GridError, "mesh nan is not a multiple",
+                           lambda: li.uniform_partition(_GRID, 1.0, np.nan)),
+    "partition_infinite_mesh": (GridError, "mesh inf is not a multiple",
+                                lambda: li.uniform_partition(_GRID, 1.0, np.inf)),
     "independence_one_path": (ConsistencyError, "at least two paths",
                               lambda: li.increment_independence_z(_paths(n=1), _paths(n=1))),
     "ensemble_wrong_rank": (ConsistencyError, "must have shape",
@@ -99,3 +103,24 @@ def test_rejection_raises_its_toolkit_error(error, message, call):
 def test_time_must_be_finite_and_nonnegative(call, t):
     with pytest.raises(DomainError, match="time must be finite and nonnegative"):
         call(t)
+
+
+@pytest.mark.parametrize("problem", [_problem(), _problem(sigmas=(), sigma_lipschitz=(), drivers=())],
+                         ids=["driver", "no_driver"])
+@pytest.mark.parametrize("change, message", [
+    ({"n_paths": -1}, "n_paths must be >= 1"),
+    ({"n_paths": 2.5}, "n_paths must be an integer"),
+    ({"n_paths": True}, "n_paths must be an integer"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"path_offset": -5}, "path_offset must be >= 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"n_blocks": 1.5}, "n_blocks must be an integer"),
+], ids=["negative_paths", "fractional_paths", "bool_paths", "negative_seed", "fractional_seed",
+        "negative_offset", "fractional_max_iter", "fractional_blocks"])
+def test_picard_counts_are_checked(problem, change, message):
+    # the solver checks its counts itself, so a problem without drivers,
+    # which simulates nothing, rejects them as one with a driver does
+    kw = dict(n_paths=2, seed=1, max_iter=2, n_blocks=1, path_offset=0)
+    with pytest.raises(ParameterError, match=message):
+        li.mild_solution_restarted(problem, _GRID, **{**kw, **change})

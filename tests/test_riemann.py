@@ -74,8 +74,8 @@ class TestRiemannSum:
 
 def _sum_outputs():
     """riemann_sum on every partition shape (full grid, stride, ending before
-    T, not arithmetic) and every einsum branch (sampled, single-path
-    integrand, single-path integrator, two coordinates), on 275 = 2 * 137 + 1
+    T, not arithmetic) and every pairing (sampled, single-path integrand,
+    single-path integrator, two coordinates), on 275 = 2 * 137 + 1
     paths: no tested block size divides it, and at 137 rows the last path
     sits alone in its block."""
     grid = li.TimeGrid.uniform(1.0, 24)
@@ -96,33 +96,22 @@ def _sum_outputs():
     return h.hexdigest()
 
 
-_SUMS_AT_4096 = "850e73d3c860f6f344454832d3c70daff7efd3b9b4e36eec69b1c528914a9f42"
-
-
 class TestRiemannSumGoldens:
-    """sha256 of riemann_sum at four block sizes, recorded when it gathered
-    partition columns with an index array in blocks of _CHUNK_ROWS rows; a
-    change here means the sums changed.  A path alone in its block sums in
-    another order, so 137 and 1 rows have their own digests."""
+    """sha256 of riemann_sum; a change here means the sums changed.  Each
+    path's terms are added along time alone, so one digest holds whatever
+    the rows of the cross-path blocks (``_CHUNK_ROWS``) and of riemann_sum's
+    own blocks (``_SUM_ROWS``), a path alone in its block included.  It was
+    recorded when riemann_sum came to reduce each path alone; before, a path
+    alone in its block summed in another order, so 137 and 1 rows had
+    digests of their own (60234fae... and 74b26659...) beside 850e73d3...
+    at every other size."""
 
-    @pytest.mark.parametrize(
-        "rows, expect",
-        [
-            (4096, _SUMS_AT_4096),
-            (137, "60234fae98934ce4bc8bbcc150fe6380bf8fb0551bb6aa696dd0be89c54e80c8"),
-            (32, _SUMS_AT_4096),
-            (1, "74b26659da16c454805a3e1cb5a0f74db4b527adff63bd8df0f407309008a059"),
-        ],
-    )
-    def test_sums(self, monkeypatch, rows, expect):
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
-        assert _sum_outputs() == expect
-
-    @pytest.mark.parametrize("rows", [2, 3, 32, 137, 4096])
-    def test_sums_do_not_depend_on_the_rows_riemann_sum_walks(self, monkeypatch, rows):
-        # 275 rows in pieces of 2 would leave the last one alone
-        monkeypatch.setattr(riemann_mod, "_SUM_ROWS", rows)
-        assert _sum_outputs() == _SUMS_AT_4096
+    @pytest.mark.parametrize("chunk_rows", [4096, 137, 1])
+    @pytest.mark.parametrize("sum_rows", [1, 2, 3, 32, 137, 256, 4096])
+    def test_sums(self, monkeypatch, chunk_rows, sum_rows):
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(riemann_mod, "_SUM_ROWS", sum_rows)
+        assert _sum_outputs() == "9f8db04ab94e09ca08e124e7fba766f5dd2bf5201f7963bd3b8ea570544075c1"
 
 
 class TestIntegralProcess:
@@ -374,10 +363,13 @@ class TestStudyGoldens:
     references, one-path runs included) and of the standard-error checks in
     CLI manifests; a change here means the numbers changed.  Re-recorded
     when every statistical check came to record {value, expected, se, z,
-    bound}; the study tables and the verdicts stayed the same."""
+    bound}; the study tables and the verdicts stayed the same.  Re-recorded
+    (was af92a9b3...) when riemann_sum came to add each path's terms along
+    time alone: the mesh-study tables moved in their last bits, and the
+    manifests' checks stayed byte-identical."""
 
     def test_studies(self, tmp_path):
         h = hashlib.sha256()
         for value in _study_outputs(tmp_path):
             h.update(np.asarray(value).tobytes())
-        assert h.hexdigest() == "af92a9b3a44da45eb2e5a0d5656ee1d0e5e93234b2c1173b33c66c9ec7f46928"
+        assert h.hexdigest() == "2fcf97e197a8479156ec6ee56bb14525e8350f0d07c67cd21a06382ec2c300b3"
