@@ -2,8 +2,10 @@
 
 Runs the four statistical checks (``simulate``, ``integrate``, ``isometry``
 and ``diagnostics``) on the configs below over seeds 1 to N and prints,
-for each, how many runs missed and the range of z against the check's
-bound (``diagnostics`` passes below -bound, the others within it).  The
+for each, how many runs missed, the range of z against the check's
+bound (``diagnostics`` passes below -bound, the others within it), and the
+sha256 of its verdicts (one byte per seed, 1 if it passed, in seed order),
+so two checkouts whose digests agree gave every verdict alike.  The
 sizes are the CLI defaults (1000 paths; 100, 1000 and 64 grid steps) except
 ``simulate`` at 500 paths.  Opt-in and not part of the test suite: 200
 seeds took 28 s on a 2-core host.
@@ -17,6 +19,7 @@ to widen a bound or to re-seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 
 from levyint import cli
 
@@ -50,14 +53,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=200, help="number of seeds per check")
     args = parser.parse_args()
-    print(f"{'check':<13}{'runs':>6}{'misses':>8}{'min z':>9}{'max z':>9}{'bound':>7}")
+    print(f"{'check':<13}{'runs':>6}{'misses':>8}{'min z':>9}{'max z':>9}{'bound':>7}  verdicts sha256")
     for kind in CONFIGS:
-        misses, zs = 0, []
+        verdicts, zs = [], []
         for seed in range(1, args.seeds + 1):
             passed, record = check_of(kind, seed)
-            misses += not passed
+            verdicts.append(passed)
             zs.append(record["z"])
-        print(f"{kind:<13}{args.seeds:>6}{misses:>8}{min(zs):>9.3f}{max(zs):>9.3f}{record['bound']:>7.1f}")
+        print(f"{kind:<13}{args.seeds:>6}{verdicts.count(False):>8}{min(zs):>9.3f}{max(zs):>9.3f}"
+              f"{record['bound']:>7.1f}  {hashlib.sha256(bytes(verdicts)).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -396,8 +396,7 @@ def _z_check(name: str, value: float, expected: float, se: float, bound: float,
     return name, math.isfinite(se) and passes(z, bound), record
 
 
-# Bytes of a block of grid points in the moment table.  No block holds a lone
-# point (numpy sums a lone column pairwise), so paths sum in row order.
+# Bytes of a block of grid points in the moment table
 _MOMENT_BLOCK_BYTES = 2**22
 
 
@@ -407,13 +406,17 @@ def _moment_table(t: np.ndarray, values: np.ndarray) -> tuple[tuple[str, ...], n
     points, copied out as paths x (points x modes); one path gives nan spreads."""
     m, n, d = values.shape
     stats = np.empty((4, m, d))
-    step = max(2, _MOMENT_BLOCK_BYTES // (8 * n * d))
-    buf = np.empty(n * min(m, step + 1) * d)  # one buffer serves every block
-    for j in range(0, m - 1, step):
-        k = j + step if j + step < m - 1 else m  # a lone last point joins this block
+    step = max(1, _MOMENT_BLOCK_BYTES // (8 * n * d))
+    buf = np.empty(n * min(m, step) * d)  # one buffer serves every block
+    for j in range(0, m, step):
+        k = min(j + step, m)
         block = buf[:n * (k - j) * d].reshape(n, k - j, d)
-        np.copyto(block, np.moveaxis(values[j:k], 0, 1))
-        stats[:, j:k] = np.reshape(_moments(block.reshape(n, -1)), (4, -1, d))
+
+        def fresh():  # _moments overwrites the block, so each pass copies it anew
+            np.copyto(block, np.moveaxis(values[j:k], 0, 1))
+            return [block.reshape(n, -1)]
+
+        stats[:, j:k] = np.reshape(_moments(fresh), (4, -1, d))
     if n == 1:
         stats[1:] = np.nan
     return _table(("t", "mode", "mean", "se_mean", "variance", "se_variance"),
@@ -424,7 +427,8 @@ def _run_simulate(cfg: ExperimentConfig) -> RunResult:
     spec, grid = cfg.driver, cfg.grid
     ens = simulate_paths(spec, grid, cfg.paths, cfg.seed)
     c = spec.bracket_rate()
-    var, se = map(float, _moments(ens.values[:, -1, 0] - spec.martingale_drift * grid.horizon)[2:])
+    var, se = map(float, _moments(
+        lambda: [ens.values[:, -1, 0] - spec.martingale_drift * grid.horizon])[2:])
     se = se if cfg.paths > 2 else np.inf  # the SE of a variance needs three paths
     checks = [_z_check("terminal_variance_matches_bracket", var, c * grid.horizon, se,
                        cfg.tolerances["se_multiplier"])]

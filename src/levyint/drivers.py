@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import JumpTable, PathEnsemble, TimeGrid, _jump_values, _rows, _run_blocks
+from .ensembles import JumpTable, PathEnsemble, TimeGrid, _integer, _jump_values, _rows, _run_blocks
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
@@ -240,14 +240,6 @@ class CompoundPoisson(LevySpec):
 def standard_poisson(rate: float = 1.0) -> CompensatedPoisson:
     """Plain counting process N_t, read as compensated Poisson plus drift = rate."""
     return CompensatedPoisson(rate=rate, drift=rate)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int: ``ParameterError`` unless it is a Python or
-    numpy integer, and not a bool, so a fractional value is not truncated."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _path_counts(n_paths, seed, path_offset) -> tuple[int, int, int]:

@@ -4,7 +4,9 @@ An ensemble of sampled paths is treated as a curve t -> L2(Omega; R^dim):
 expectations become averages over paths, and the curve norm is the sup over
 grid points of the root mean squared Euclidean norm.  Every reduction walks
 the paths in blocks of paired rows (``_blocks``), so that large ensembles
-(1e5 paths x 1e3 grid points) never allocate full-size temporaries.
+(1e5 paths x 1e3 grid points) never allocate full-size temporaries.  One
+estimator forms every mean over paths (``_moments``); it adds the paths in
+row order across blocks, so no output depends on the block size.
 
 A large call runs its row blocks on one thread per CPU (``_run_blocks``).
 Each block is computed exactly as it would be alone, so the output is the
@@ -14,10 +16,12 @@ same whether its blocks run in order on one thread or at once on many.
 from __future__ import annotations
 
 import contextvars
+import numbers
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,13 +31,13 @@ from .errors import (
     GridError,
     MissingJumpDataError,
     NumericError,
+    ParameterError,
 )
 
 if TYPE_CHECKING:
     from .drivers import LevySpec
 
-# rows per block in path reductions; a reduction is bit-identical only at a
-# fixed block size
+# rows per block in path reductions; it sets speed and memory, not bits
 _CHUNK_ROWS = 4096
 
 
@@ -85,6 +89,21 @@ def _run_blocks(fn: Callable, blocks, rows: int, points: int) -> list:
     return [f.result() for f in futures]
 
 
+def _integer(value, name: str, error: type = ParameterError) -> int:
+    """``value`` as a Python int: ``error`` unless it is a Python or numpy
+    integer, and not a bool, so a fractional value is not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """``value`` as a float if it is a finite real number and not a bool,
+    else nan, which fails every comparison a caller checks it by."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if real and abs(value) <= sys.float_info.max else np.nan
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A read-only C-contiguous float64 form of ``a`` (a 0-d array stays 0-d)."""
     out = np.asarray(a, dtype=np.float64, order="C")
@@ -110,9 +129,11 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, horizon: float, n_steps: int) -> "TimeGrid":
-        if horizon <= 0 or n_steps < 1:
-            raise GridError("horizon must be positive and n_steps >= 1")
-        return cls(np.linspace(0.0, float(horizon), n_steps + 1))
+        end, n_steps = _real(horizon), _integer(n_steps, "n_steps", GridError)
+        if not end > 0 or n_steps < 1:
+            raise GridError(f"horizon must be finite and positive and n_steps >= 1, "
+                            f"got {horizon!r} and {n_steps}")
+        return cls(np.linspace(0.0, end, n_steps + 1))
 
     @property
     def horizon(self) -> float:
@@ -397,7 +418,8 @@ def _pairing(a: PathEnsemble, b: PathEnsemble) -> int:
 
 def _row_slices(n: int, rows: int | None) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, or of ``_CHUNK_ROWS`` if not
-    given, covering n rows; the last takes the rest."""
+    given, covering n rows; the last takes the rest.  No output depends on
+    the size (see ``_moments``)."""
     step = rows or _CHUNK_ROWS
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
@@ -419,20 +441,42 @@ def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterat
                      for x in ensembles))
 
 
-def _moments(buf: np.ndarray, spreads: bool = True) -> tuple:
-    """Mean, its SE and, with ``spreads``, the ddof=1 variance and its SE (of the mean squared
-    deviation) along the first axis of the float64 ``buf``, spreads 0 for one sample: the bits of
-    np.mean, np.var and np.std, in two passes (three with ``spreads``) that overwrite ``buf``.
-    ``NumericError`` unless all it returns are finite (a non-finite sample makes the mean so)."""
-    n = buf.shape[0]
+def _moments(blocks: Callable[[], Iterable[np.ndarray]], passes: int = 3) -> tuple:
+    """Mean, its SE, the ddof=1 variance and its SE (of the mean squared deviation) along the
+    first axis of float64 samples, from the first ``passes`` (1 to 3) of three passes, spreads 0
+    for one sample.  Each pass overwrites the blocks a call of ``blocks`` yields afresh and adds
+    their rows in order, each block's first row taking in the running total: the bits of np.mean,
+    np.var and np.std over two or more columns however the rows are split into blocks.  A lone
+    column goes by cumsum, as numpy would sum it pairwise; scalar (1-D) samples are summed
+    pairwise, so they come as one block.  ``NumericError`` unless all it returns are finite."""
+    def row_sum(step=None):
+        total, rows = None, 0
+        for block in blocks():
+            if step:
+                step(block)
+            if total is not None:
+                block[0] += total
+            rows += block.shape[0]
+            total = (np.cumsum(block, axis=0)[-1] if block.ndim == 2 and block.shape[1] == 1
+                     else np.add.reduce(block))
+        return total, rows
+
+    def deviations(block):
+        np.square(np.subtract(block, stats[0], out=block), out=block)
+
+    def spreads(block):
+        deviations(block)
+        np.square(np.subtract(block, ss / n, out=block), out=block)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(buf) / n
-        ss = np.add.reduce(np.square(np.subtract(buf, mean, out=buf), out=buf))
-        var = ss / max(n - 1, 1)  # one sample's sums are 0
-        stats = (mean, np.sqrt(var) / np.sqrt(n))
-        if spreads:
-            ss4 = np.add.reduce(np.square(np.subtract(buf, ss / n, out=buf), out=buf))
-            stats += (var, np.sqrt(ss4 / max(n - 1, 1)) / np.sqrt(n))
+        total, n = row_sum()
+        stats = (total / n,)
+        if passes > 1:
+            ss = row_sum(deviations)[0]
+            var = ss / max(n - 1, 1)  # one sample's sums are 0
+            stats += (np.sqrt(var) / np.sqrt(n),)
+        if passes > 2:
+            stats += (var, np.sqrt(row_sum(spreads)[0] / max(n - 1, 1)) / np.sqrt(n))
     if not all(np.isfinite(x).all() for x in stats):
         raise NumericError("samples, or their mean or spread, are not finite (NaN or overflow)")
     return stats
@@ -440,7 +484,7 @@ def _moments(buf: np.ndarray, spreads: bool = True) -> tuple:
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of 1-D ``samples``, as floats: ``_moments``' first two passes."""
-    return tuple(map(float, _moments(np.array(samples, dtype=float), spreads=False)))
+    return tuple(map(float, _moments(lambda: [np.array(samples, dtype=float)], 2)))
 
 
 def _z_score(diff, se):
@@ -451,46 +495,20 @@ def _z_score(diff, se):
         return np.where((se == 0) & (diff == 0), 0.0, diff / se)
 
 
-def _merged_sums(sums: tuple, block: np.ndarray) -> tuple:
-    """Running ``(n, total, centred sum of squares)`` of samples along the
-    first axis, with ``block``'s samples merged in: the block's own centred
-    sum plus the pairwise term of Chan, Golub and LeVeque, so no sum of x^2
-    cancels against the squared mean.  Start from ``(0, 0.0, 0.0)``."""
-    n, total, m2 = sums
-    k = block.shape[0]
-    s = block.sum(axis=0)
-    dev = block - s / k
-    m2 = m2 + (dev * dev).sum(axis=0)
-    if n:
-        delta = s / k - total / n
-        m2 = m2 + delta * delta * (n * k / (n + k))
-    return n + k, total + s, m2
+def _gap_moments(*pair: PathEnsemble) -> np.ndarray:
+    """Per-gridpoint E||a_t - b_t||^2 over the paired paths of ``pair`` (a, b),
+    or E||a_t||^2 over the paths of (a,): the mean of each path's squares."""
+    def squares():
+        for _, d, *b in _blocks(_pairing(pair[0], pair[-1]), *pair):
+            d = d - b[0] if b else d
+            yield np.einsum("pjd,pjd->pj", d, d)
 
-
-def _streamed_mean_se(sums: tuple) -> tuple:
-    """Mean and its standard error from the running sums of ``_merged_sums``."""
-    n, total, m2 = sums
-    mean = total / n
-    if n < 2:
-        return mean, np.zeros_like(mean)
-    return mean, np.sqrt(m2 / (n - 1) / n)
-
-
-def _gap_moments(a: PathEnsemble, b: PathEnsemble, n: int) -> np.ndarray:
-    """Per-gridpoint E||a_t - b_t||^2 over n paired paths."""
-    acc = np.zeros(a.grid.n_points)
-    for _, xa, xb in _blocks(n, a, b):
-        d = xa - xb
-        acc += np.einsum("pjd,pjd->j", d, d)
-    return acc / n
+    return _moments(squares, 1)[0]
 
 
 def second_moments(ensemble: PathEnsemble) -> np.ndarray:
     """Per-gridpoint E||r_t||^2 estimated by the path average."""
-    acc = np.zeros(ensemble.n_points)
-    for _, block in _blocks(ensemble.n_paths, ensemble):
-        acc += np.einsum("pjd,pjd->j", block, block)
-    return acc / ensemble.n_paths
+    return _gap_moments(ensemble)
 
 
 def sup_l2_norm(ensemble: PathEnsemble) -> float:
@@ -503,7 +521,7 @@ def l2_distance(a: PathEnsemble, b: PathEnsemble) -> float:
 
     Single-path (deterministic) ensembles broadcast against sampled ones.
     """
-    return float(np.sqrt(np.max(_gap_moments(a, b, _pairing(a, b)))))
+    return float(np.sqrt(np.max(_gap_moments(a, b))))
 
 
 @dataclass(frozen=True)
@@ -529,11 +547,12 @@ def ms_continuity_modulus(ensemble: PathEnsemble) -> ModulusReport:
     Standard errors are for the reported root-mean-square values (delta
     method), so refinement comparisons can carry statistical slack.
     """
-    sums = (0, 0.0, 0.0)
-    for _, block in _blocks(ensemble.n_paths, ensemble):
-        d = block[:, 1:, :] - block[:, :-1, :]
-        sums = _merged_sums(sums, np.einsum("pjd,pjd->pj", d, d))
-    mean_sq, se_mean = _streamed_mean_se(sums)
+    def squares():
+        for _, block in _blocks(ensemble.n_paths, ensemble):
+            d = block[:, 1:, :] - block[:, :-1, :]
+            yield np.einsum("pjd,pjd->pj", d, d)
+
+    mean_sq, se_mean = _moments(squares, 2)
     norms = np.sqrt(mean_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         se_norm = np.where(norms > 0, se_mean / (2 * np.maximum(norms, 1e-300)), 0.0)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, _check_driver
-from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _run_blocks, _z_score,
-                        left_limit, second_moments, sup_l2_norm)
+from .ensembles import (PathEnsemble, _blocks, _gap_moments, _mean_se, _real, _run_blocks,
+                        _z_score, left_limit, second_moments, sup_l2_norm)
 from .errors import AdaptednessError, DomainError, ParameterError
 from .riemann import riemann_sum
 from .tolerances import DEFAULTS
@@ -92,8 +92,8 @@ def injectivity_witness(phi: PathEnsemble, tol: float = DEFAULTS["quadrature"]) 
     vanishing quadrature caps the attainable sup; the matched sup tolerance
     is sqrt(tol / min interval).
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if not _real(tol) > 0:
+        raise ParameterError(f"tol must be finite and positive, got {tol!r}")
     pphi = predictable_version(phi)
     seminorm_sq = _left_quadrature(second_moments(pphi), phi.grid.dt)
     sup = sup_l2_norm(phi)
@@ -166,5 +166,5 @@ def projection_vs_left_limit(phi: PathEnsemble) -> float:
     the predictable-representative code path.
     """
     pphi = predictable_version(phi)
-    moments = _gap_moments(pphi, left_limit(phi), pphi.n_paths)
+    moments = _gap_moments(pphi, left_limit(phi))
     return _left_quadrature(moments, phi.grid.dt)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import LevySpec, martingale_part
-from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _merged_sums, _pairing,
-                        _run_blocks, _streamed_mean_se, _z_score)
+from .ensembles import (PathEnsemble, TimeGrid, _blocks, _mean_se, _moments, _pairing, _run_blocks,
+                        _z_score)
 from .errors import (
     AdaptednessError,
     ConsistencyError,
@@ -274,11 +274,6 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
 
     # the means first, then the products centred at them; a single path is
     # its own mean, so a deterministic side centres to exactly 0
-    totals = [0.0, 0.0]
-    for pair in pairs():
-        totals = [t + x.sum(axis=0) for t, x in zip(totals, pair)]
-    means = [x[0] if e.n_paths == 1 else t / n for x, e, t in zip(next(pairs()), (phi, m), totals)]
-    sums = (0, 0.0, 0.0)
-    for p, d in pairs():
-        sums = _merged_sums(sums, (p - means[0]) * (d - means[1]))
-    return _z_score(*_streamed_mean_se(sums))
+    means = [x[0] if e.n_paths == 1 else _moments(lambda i=i: (pair[i] for pair in pairs()), 1)[0]
+             for i, (x, e) in enumerate(zip(next(pairs()), (phi, m)))]
+    return _z_score(*_moments(lambda: ((p - means[0]) * (d - means[1]) for p, d in pairs()), 2))

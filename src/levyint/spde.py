@@ -29,9 +29,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .drivers import LevySpec, _check_driver, _integer, _path_counts, child_seed, simulate_paths
-from .ensembles import (ModulusReport, PathEnsemble, TimeGrid, _pairing, _readonly, _run_blocks,
-                        ms_continuity_modulus)
+from .drivers import LevySpec, _check_driver, _path_counts, child_seed, simulate_paths
+from .ensembles import (ModulusReport, PathEnsemble, TimeGrid, _integer, _pairing, _readonly, _real,
+                        _run_blocks, ms_continuity_modulus)
 from .errors import AdaptednessError, ConsistencyError, DomainError, NumericError, ParameterError
 
 CoefficientMap = Callable[[float, np.ndarray], np.ndarray]
@@ -63,12 +63,13 @@ def heat_operator(dim: int) -> SpectralOperator:
 
 def semigroup_apply(op: SpectralOperator, t: float, state: np.ndarray) -> np.ndarray:
     """Apply S_t coordinatewise: state_k * e^{-mu_k t}."""
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"semigroup time must be finite and nonnegative, got {t}")
+    time = _real(t)
+    if not time >= 0:
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
     state = np.asarray(state, dtype=np.float64)
     if state.shape[-1] != op.dim:
         raise ConsistencyError(f"state dimension {state.shape[-1]} != operator dim {op.dim}")
-    return state * np.exp(-op.eigenvalues * t)
+    return state * np.exp(-op.eigenvalues * time)
 
 
 def pseudo_contractivity_bound(op: SpectralOperator) -> float:
@@ -108,8 +109,8 @@ class SpdeProblem:
         for name, L in [("alpha", self.alpha_lipschitz)] + [
             (f"sigma[{i}]", Li) for i, Li in enumerate(self.sigma_lipschitz)
         ]:
-            if not np.isfinite(L) or L < 0:
-                raise ParameterError(f"Lipschitz constant for {name} must be finite and >= 0")
+            if not _real(L) >= 0:
+                raise ParameterError(f"Lipschitz constant for {name} must be finite and >= 0, got {L!r}")
 
     @property
     def dim(self) -> int:
@@ -301,8 +302,8 @@ def mild_solution_restarted(
     of it, so at return the peak is one solution.
     """
     n_paths, seed, path_offset = _path_counts(n_paths, seed, path_offset)
-    if not (np.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if not _real(tol) > 0:
+        raise ParameterError(f"tol must be finite and positive, got {tol!r}")
     if _integer(max_iter, "max_iter") < 1:
         raise ParameterError("max_iter must be >= 1")
     if not 1 <= _integer(n_blocks, "n_blocks") <= grid.n_intervals:
@@ -459,8 +460,9 @@ def linear_variance_oracle(
     variance at time t is c * sigma_k^2 * (1 - e^{-2 mu_k t}) / (2 mu_k),
     degenerating to c * sigma_k^2 * t for mu_k = 0.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise DomainError(f"oracle time must be finite and nonnegative, got {t}")
+    time = _real(t)
+    if not time >= 0:
+        raise DomainError(f"oracle time must be finite and nonnegative, got {t!r}")
     mu = op.eigenvalues
     s = np.asarray(sigma_consts, dtype=np.float64)
     if s.shape != mu.shape:
@@ -468,9 +470,9 @@ def linear_variance_oracle(
     c = spec.bracket_rate()
     out = np.empty_like(mu)
     zero = mu == 0
-    out[zero] = c * s[zero] ** 2 * t
+    out[zero] = c * s[zero] ** 2 * time
     nz = ~zero
-    out[nz] = c * s[nz] ** 2 * (1.0 - np.exp(-2.0 * mu[nz] * t)) / (2.0 * mu[nz])
+    out[nz] = c * s[nz] ** 2 * (1.0 - np.exp(-2.0 * mu[nz] * time)) / (2.0 * mu[nz])
     return out
 
 

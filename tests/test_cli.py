@@ -369,9 +369,10 @@ class TestSimulateMomentTable:
 
 
 class TestMomentBlocks:
-    """``cli._moment_table`` writes the same bytes at every block size.  No
-    block holds a lone grid point, so every column's paths are summed in row
-    order, as numpy sums them over the whole ensemble.  It reads time-major
+    """``cli._moment_table`` writes the same bytes at every block size, one
+    grid point included: every column's paths are summed in row order
+    (``ensembles._moments``), as numpy sums two or more columns of the whole
+    ensemble, a lone column too.  It reads time-major
     values (points x paths x modes), contiguous as ``spde`` passes them or a
     view of path-major values as ``simulate`` passes them; ``_PATH_MAJOR``
     holds the sha256 of each table, recorded when it read path-major
@@ -401,7 +402,7 @@ class TestMomentBlocks:
         time_major = np.ascontiguousarray(np.moveaxis(x, 1, 0))
         t = li.TimeGrid.uniform(1.0, points - 1).points
         tables = []
-        for block in (2, 3, 5, points):
+        for block in (1, 2, 3, 5, points):
             monkeypatch.setattr(cli, "_MOMENT_BLOCK_BYTES", block * 8 * n * dim)
             tables.append(cli._moment_table(t, time_major)[1])
             tables.append(cli._moment_table(t, np.moveaxis(path_major, 1, 0))[1])

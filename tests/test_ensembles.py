@@ -156,24 +156,25 @@ class TestContinuityModulus:
         slack = 3 * (mc.max_standard_error + mf.max_standard_error)
         assert mf.max_norm < mc.max_norm - slack
 
-    @pytest.mark.parametrize("rows", [4096, 137])
+    @pytest.mark.parametrize("rows", [4096, 137, 1])
     def test_standard_errors_do_not_cancel(self, monkeypatch, rows):
         import levyint.ensembles as ens_mod
 
         # squared increments near 6.25e8 with a spread near 25: running sums
-        # of x and x^2 cancel to SEs of 0, 0, 0 and 5.1e-6 here
+        # of x and x^2 cancel to SEs of 0, 0, 0 and 5.1e-6 here.  At every
+        # block size the SE is the one _moments gives on the whole array.
         monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
         x = li.simulate_paths(li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4), 2000, 0)
         rep = li.ms_continuity_modulus(x)
         sq = np.diff(x.values[:, :, 0], axis=1) ** 2
-        mean, se = ens_mod._moments(sq.copy())[:2]
-        np.testing.assert_allclose(rep.standard_errors, se / (2 * np.sqrt(mean)), rtol=1e-3)
+        mean, se = ens_mod._moments(lambda: [sq.copy()], 2)
+        np.testing.assert_array_equal(rep.standard_errors, se / (2 * np.sqrt(mean)))
         assert np.all((rep.standard_errors > 1e-5) & (rep.standard_errors < 1.2e-5))
 
 
 class TestMoments:
     def test_one_sample_has_zero_spreads(self):
-        mean, *spreads = li.ensembles._moments(np.array([[2.5, -1.0]]))
+        mean, *spreads = li.ensembles._moments(lambda: [np.array([[2.5, -1.0]])])
         assert mean.tolist() == [2.5, -1.0] and all(s.tolist() == [0.0, 0.0] for s in spreads)
 
     @pytest.mark.parametrize("samples", [[1.0, np.inf, 2.0], [1.0, np.nan], [-np.inf, np.inf],
@@ -182,13 +183,29 @@ class TestMoments:
                                   "fourth_power_overflows"])
     def test_non_finite_samples_or_statistics_raise(self, samples):
         with pytest.raises(NumericError, match="not finite"):
-            li.ensembles._moments(np.array(samples))
+            li.ensembles._moments(lambda: [np.array(samples)])
 
     def test_mean_se_reads_only_the_first_two_passes(self):
         # the fourth-power spread of these samples overflows (see above)
         b = np.array([1e100, 0.0, 3.0])
         assert li.ensembles._mean_se(b) == (np.mean(b), np.std(b, ddof=1) / np.sqrt(3))
         assert b.tolist() == [1e100, 0.0, 3.0]
+
+    @pytest.mark.parametrize("columns", [1, 2, 5])
+    def test_blocks_add_in_row_order(self, columns):
+        # rows add in order whatever the blocks: the bits of numpy's sums
+        # over two or more columns, and of a cumsum down a lone column
+        x = np.random.default_rng(columns).standard_normal((300, columns)) * 5.0 + 1e4
+        whole = li.ensembles._moments(lambda: [x.copy()])
+        for rows in (1, 2, 7, 137, 299):
+            blocks = li.ensembles._moments(lambda: [x[i:i + rows].copy() for i in range(0, 300, rows)])
+            assert all(np.array_equal(a, b) for a, b in zip(whole, blocks))
+        mean = np.cumsum(x, axis=0)[-1] / 300
+        assert np.array_equal(whole[0], mean)
+        if columns > 1:
+            assert np.array_equal(whole[0], np.mean(x, axis=0))
+            assert np.array_equal(whole[2], np.var(x, axis=0, ddof=1))
+            assert np.array_equal(whole[1], np.std(x, axis=0, ddof=1) / np.sqrt(300))
 
 
 class TestLeftLimit:
@@ -295,19 +312,16 @@ class TestPathEnsemble:
         with pytest.raises(ConsistencyError):
             li.PathEnsemble(values=np.zeros((2, 5, 1)), grid=grid100)
 
-    def test_parallel_reduction_agreement(self, grid100):
-        # chunk size is an internal detail; reductions agree across chunkings
+    @pytest.mark.parametrize("rows", [137, 1])
+    def test_parallel_reduction_agreement(self, grid100, monkeypatch, rows):
+        # chunk size is an internal detail: paths add in row order, so
+        # reductions agree across chunkings to the bit
         import levyint.ensembles as ens_mod
 
         e = li.simulate_paths(li.Brownian(), grid100, 5000, 15)
         full = li.sup_l2_norm(e)
-        old = ens_mod._CHUNK_ROWS
-        try:
-            ens_mod._CHUNK_ROWS = 137
-            chunked = li.sup_l2_norm(e)
-        finally:
-            ens_mod._CHUNK_ROWS = old
-        assert abs(full - chunked) < 1e-9
+        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        assert li.sup_l2_norm(e) == full
 
     def test_with_values_keeps_everything_but_the_values(self, grid100):
         spec = li.CompensatedPoisson(rate=2.0)
@@ -495,12 +509,15 @@ class TestReductionGoldens:
     ``test_reductions`` covers every output not formed from riemann_sum:
     second moments, moduli, distances, integral processes, the
     increment-independence z-scores, the isometry right side and the
-    projection gap.  Its digests depend on the block size.  They were
-    recorded when the two parts were split, from the code before that
-    change, and the change left them as they were.  (The digests over both
-    parts moved twice before: when streamed standard errors came to merge
-    per-block centred sums, and when the increment-independence covariance
-    came to be the mean of centred products over their own standard error.)
+    projection gap.  Every mean over paths adds the paths in row order
+    (``ensembles._moments``), so one digest holds at every block size.  It
+    was recorded when that came to be so: the second moments, moduli and
+    z-scores, and the distances and projection gaps formed from them, moved
+    in their last bits, since per-block sums and merged centred sums had
+    added the paths in another order.  (The digests moved twice before:
+    when streamed standard errors came to merge per-block centred sums, and
+    when the increment-independence covariance came to be the mean of
+    centred products over their own standard error.)
 
     ``test_sums`` covers riemann_sum and the isometry left side and z-score
     formed from it.  Each path's sum is its own, so one digest holds at every
@@ -508,21 +525,12 @@ class TestReductionGoldens:
     terms along time alone: that reordered each path's additions, so their
     last bits moved."""
 
-    @pytest.mark.parametrize(
-        "rows, expect",
-        [
-            pytest.param(4096, "614f14d8264ab128c9c8ca296364237e9ff05436e95d7eb9e2d80d646ba85f4e",
-                         id="4096"),
-            pytest.param(137, "e2ac020ab3e094dd236c1c1da000ca3e80d673a347d5e927d67867eac5b11f3a",
-                         id="137"),
-            pytest.param(1, "36cb3c7a9525cec8267692ea726fb38790168eb43a6a190eaeefee76c1560239",
-                         id="1"),
-        ],
-    )
-    def test_reductions(self, monkeypatch, rows, expect):
+    @pytest.mark.parametrize("rows", [4096, 137, 1])
+    def test_reductions(self, monkeypatch, rows):
         import levyint.ensembles as ens_mod
 
         monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        expect = "bf29df6746a3f29d8960b687d35618e9b2c6c717e14a65461ecd9b4ed93522f0"
         assert _digest(_reduction_outputs()[0]) == expect
 
     @pytest.mark.parametrize("rows", [4096, 137, 1])

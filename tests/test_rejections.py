@@ -85,6 +85,38 @@ _CASES = {
     "oracle_wrong_shape": (ConsistencyError, "one entry per coordinate",
                            lambda: li.linear_variance_oracle(li.heat_operator(3), np.ones(2),
                                                              li.Brownian(), 1.0)),
+    "problem_lipschitz_none": (ParameterError, r"sigma\[0\] must be finite and >= 0, got None",
+                               lambda: _problem(sigma_lipschitz=(None,))),
+    "problem_lipschitz_string": (ParameterError, r"sigma\[0\] must be finite and >= 0, got '0.5'",
+                                 lambda: _problem(sigma_lipschitz=("0.5",))),
+    "problem_lipschitz_bool": (ParameterError, r"alpha must be finite and >= 0, got True",
+                               lambda: _problem(alpha=li.scaled_identity(1.0), alpha_lipschitz=True)),
+    "problem_lipschitz_nan": (ParameterError, r"sigma\[0\] must be finite and >= 0, got nan",
+                              lambda: _problem(sigma_lipschitz=(np.nan,))),
+    "injectivity_tol_none": (ParameterError, "tol must be finite and positive, got None",
+                             lambda: li.injectivity_witness(_paths(), tol=None)),
+    "injectivity_tol_string": (ParameterError, "tol must be finite and positive, got '1e-3'",
+                               lambda: li.injectivity_witness(_paths(), tol="1e-3")),
+    "injectivity_tol_bool": (ParameterError, "tol must be finite and positive, got True",
+                             lambda: li.injectivity_witness(_paths(), tol=True)),
+    "grid_fractional_steps": (GridError, "n_steps must be an integer, got 2.5",
+                              lambda: li.TimeGrid.uniform(1.0, 2.5)),
+    "grid_string_steps": (GridError, "n_steps must be an integer, got '4'",
+                          lambda: li.TimeGrid.uniform(1.0, "4")),
+    "grid_bool_steps": (GridError, "n_steps must be an integer, got True",
+                        lambda: li.TimeGrid.uniform(1.0, True)),
+    "grid_no_steps": (GridError, "horizon must be finite and positive and n_steps >= 1",
+                      lambda: li.TimeGrid.uniform(1.0, 0)),
+    "grid_infinite_horizon": (GridError, "horizon must be finite and positive",
+                              lambda: li.TimeGrid.uniform(np.inf, 4)),
+    "grid_nan_horizon": (GridError, "horizon must be finite and positive",
+                         lambda: li.TimeGrid.uniform(np.nan, 4)),
+    "grid_string_horizon": (GridError, "n_steps >= 1, got '1.0' and 4",
+                            lambda: li.TimeGrid.uniform("1.0", 4)),
+    "grid_bool_horizon": (GridError, "n_steps >= 1, got True and 4",
+                          lambda: li.TimeGrid.uniform(True, 4)),
+    "grid_huge_integer_horizon": (GridError, "horizon must be finite and positive",
+                                  lambda: li.TimeGrid.uniform(10**400, 4)),
 }
 
 
@@ -95,7 +127,7 @@ def test_rejection_raises_its_toolkit_error(error, message, call):
         call()
 
 
-@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf, None, "0.5", True])
 @pytest.mark.parametrize("call", [
     lambda t: li.semigroup_apply(li.heat_operator(3), t, np.ones(3)),
     lambda t: li.linear_variance_oracle(li.heat_operator(3), np.ones(3), li.Brownian(), t),
@@ -116,11 +148,16 @@ def test_time_must_be_finite_and_nonnegative(call, t):
     ({"path_offset": -5}, "path_offset must be >= 0"),
     ({"max_iter": 2.5}, "max_iter must be an integer"),
     ({"n_blocks": 1.5}, "n_blocks must be an integer"),
+    ({"tol": None}, "tol must be finite and positive, got None"),
+    ({"tol": "1e-3"}, "tol must be finite and positive, got '1e-3'"),
+    ({"tol": True}, "tol must be finite and positive, got True"),
+    ({"tol": np.inf}, "tol must be finite and positive, got inf"),
 ], ids=["negative_paths", "fractional_paths", "bool_paths", "negative_seed", "fractional_seed",
-        "negative_offset", "fractional_max_iter", "fractional_blocks"])
+        "negative_offset", "fractional_max_iter", "fractional_blocks", "none_tol", "string_tol",
+        "bool_tol", "infinite_tol"])
 def test_picard_counts_are_checked(problem, change, message):
     # the solver checks its counts itself, so a problem without drivers,
     # which simulates nothing, rejects them as one with a driver does
-    kw = dict(n_paths=2, seed=1, max_iter=2, n_blocks=1, path_offset=0)
+    kw = dict(n_paths=2, seed=1, max_iter=2, n_blocks=1, path_offset=0, tol=1e-6)
     with pytest.raises(ParameterError, match=message):
         li.mild_solution_restarted(problem, _GRID, **{**kw, **change})
