@@ -24,7 +24,6 @@ from .drivers import (
     standard_poisson,
 )
 from .ensembles import (
-    JumpRecord,
     JumpTable,
     ModulusReport,
     PathEnsemble,

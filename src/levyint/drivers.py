@@ -17,7 +17,7 @@ identical (spec, grid, n_paths, seed), and ensembles simulated in chunks with
 Only the draws run path by path.  Everything after them runs over all paths
 in small row blocks: Brownian increments are scaled and summed a block at a
 time, and jumps become grid values through the one function that also
-serves ``JumpRecord.values_at``.  Jump times are drawn one scalar at a time
+serves ``JumpTable.values_at``.  Jump times are drawn one scalar at a time
 and appended, path after path, to one flat array of doubles, with one bound
 per path; a compound path's sizes are drawn right after its times.  A
 two-point path reads its signs from whole raw 64-bit words, the bits

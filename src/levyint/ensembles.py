@@ -189,61 +189,43 @@ class TimeGrid:
         return hash(self.points.tobytes())
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    """Exact jump times and sizes of one sampled path."""
-
-    times: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = _readonly(np.asarray(self.times, dtype=np.float64).ravel())
-        s = _readonly(np.asarray(self.sizes, dtype=np.float64).ravel())
-        if t.size != s.size:
-            raise ConsistencyError("jump times and sizes must have equal length")
-        if not (t[1:] > t[:-1]).all():
-            raise ConsistencyError("jump times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "sizes", s)
-
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
-
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        """Sum of the jumps up to each time, a jump at t counted at t (cadlag)."""
-        return _jump_values(points, self.times, self.sizes, (0, self.times.size))[0]
-
-
 def _rows(bounds: np.ndarray) -> np.ndarray:
-    """The record of each jump of records laid out by ``bounds``."""
-    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    """The path of each jump of paths laid out by ``bounds``."""
+    return np.repeat(np.arange(len(bounds) - 1), bounds[1:] - bounds[:-1])
+
+
+def _by_row(a: np.ndarray, bounds: np.ndarray, first: int = 0) -> tuple:
+    """``(row, col, m)``: ``a[bounds[0]:bounds[-1]]`` laid out one row per
+    path of ``bounds``, each path's entries from column ``first`` on and
+    zeros elsewhere, so that ``m[row, col]`` is that slice of ``a``."""
+    lo, counts = bounds[0], np.diff(bounds)
+    row = _rows(bounds)
+    col = np.arange(row.size) - (np.repeat(bounds[:-1], counts) - lo) + first
+    m = np.zeros((len(bounds) - 1, first + int(counts.max(initial=0))))
+    m[row, col] = a[lo:bounds[-1]]
+    return row, col, m
 
 
 def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
-                 bounds: np.ndarray | tuple[int, int]) -> np.ndarray:
-    """Sum of each record's jumps up to each point, a jump at t counted at t.
+                 bounds: np.ndarray) -> np.ndarray:
+    """Sum of each path's jumps up to each point, a jump at t counted at t.
 
-    Row r of the result is the record ``times[bounds[r]:bounds[r + 1]]``
+    Row r of the result is the path ``times[bounds[r]:bounds[r + 1]]``
     (strictly increasing) with its sizes, at the nondecreasing ``points``
-    (in any order for one record).  Each row's sizes are summed in time
+    (in any order for one path).  Each row's sizes are summed in time
     order by one cumsum along the row, so a row has the bits of
-    ``np.cumsum`` of its record's sizes alone; the zero before the first
+    ``np.cumsum`` of its path's sizes alone; the zero before the first
     jump is not added to them, so a -0.0 size keeps its sign.
     """
     lo, hi, rows = int(bounds[0]), int(bounds[-1]), len(bounds) - 1
-    times, sizes = times[lo:hi], sizes[lo:hi]
+    times = times[lo:hi]
     if rows == 1:
         # the same sums indexed by the count of jumps at or before each
         # point: a few calls where the block form below takes twenty
-        cum = np.concatenate(([0.0], np.cumsum(sizes)))
+        cum = np.concatenate(([0.0], np.cumsum(sizes[lo:hi])))
         return cum[np.searchsorted(times, points, side="right")][None]
     n = points.size
-    counts = np.diff(bounds)
-    row = _rows(bounds)
-    col = np.arange(times.size) - (np.repeat(bounds[:-1], counts) - lo)
-    cum = np.zeros((rows, int(counts.max(initial=0))))
-    cum[row, col] = sizes
+    row, col, cum = _by_row(sizes, bounds)
     np.cumsum(cum, axis=1, out=cum)
     # Each row is a run of 0.0 followed by one run per jump, which starts at
     # the first point at or after the jump (a jump after the last point
@@ -251,20 +233,20 @@ def _jump_values(points: np.ndarray, times: np.ndarray, sizes: np.ndarray,
     at_jump = np.arange(times.size) + row + 1
     runs = np.zeros(rows + times.size)
     runs[at_jump] = cum[row, col]
-    starts = np.repeat(np.arange(rows) * n, counts + 1)
+    starts = np.repeat(np.arange(rows) * n, np.diff(bounds) + 1)
     starts[at_jump] += np.searchsorted(points, times, side="left")
     return np.repeat(runs, np.diff(starts, append=rows * n)).reshape(rows, n)
 
 
 @dataclass(frozen=True, eq=False)
 class JumpTable:
-    """Exact jump times and sizes of every path, end to end and read-only.
+    """Exact jump times and sizes of paths, end to end and read-only.
 
     Path r's jumps are ``times[bounds[r]:bounds[r + 1]]``, strictly
-    increasing, with the same slice of ``sizes``.  Like a tuple of records,
-    the table has a length, a path's index gives its :class:`JumpRecord`
-    (views of the arrays), a slice gives the table of those paths, and
-    iteration gives every path's record.
+    increasing, with the same slice of ``sizes``.  The table has a length.
+    An index gives that path's one-path table, and a unit-step slice the
+    table of those paths, both views of the arrays; a stepped slice gathers
+    its paths into new arrays.  Iteration gives every path's one-path table.
     """
 
     times: np.ndarray
@@ -276,7 +258,7 @@ class JumpTable:
         s = _readonly(np.asarray(self.sizes, dtype=np.float64).ravel())
         b = np.array(self.bounds, dtype=np.intp).ravel()
         b.flags.writeable = False
-        if b.size < 1 or b[0] != 0 or (np.diff(b) < 0).any() or not b[-1] == t.size == s.size:
+        if b.size < 1 or b[0] != 0 or (b[1:] < b[:-1]).any() or not b[-1] == t.size == s.size:
             raise ConsistencyError("jump bounds must rise from 0 to the number of jump times and sizes")
         r = _rows(b)
         if not (t[1:] > t[:-1])[r[1:] == r[:-1]].all():
@@ -285,12 +267,19 @@ class JumpTable:
         object.__setattr__(self, "sizes", s)
         object.__setattr__(self, "bounds", b)
 
-    @classmethod
-    def of(cls, records) -> "JumpTable":
-        """The table of a sequence of records, path r being ``records[r]``."""
-        bounds = np.cumsum([0, *(rec.count for rec in records)])
-        return cls(np.concatenate([np.empty(0), *(rec.times for rec in records)]),
-                   np.concatenate([np.empty(0), *(rec.sizes for rec in records)]), bounds)
+    @property
+    def count(self) -> int:
+        """The number of jumps of all the table's paths."""
+        return int(self.times.size)
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """Each path's sum of jumps up to each of ``points``, in any order, a
+        jump at t counted at t (cadlag): shape ``(len(self), points.size)``."""
+        points = np.asarray(points, dtype=np.float64)
+        order = np.argsort(points, kind="stable")
+        out = np.empty((len(self), points.size))
+        out[:, order] = _jump_values(points[order], self.times, self.sizes, self.bounds)
+        return out
 
     def __len__(self) -> int:
         return self.bounds.size - 1
@@ -299,10 +288,13 @@ class JumpTable:
         # an index past the end raises IndexError, which also ends iteration
         paths = range(len(self))[key]
         if isinstance(paths, int):
-            a, b = self.bounds[paths], self.bounds[paths + 1]
-            return JumpRecord(self.times[a:b], self.sizes[a:b])
+            paths = range(paths, paths + 1)
         if paths.step != 1:
-            return JumpTable.of([self[r] for r in paths])
+            rows = np.arange(paths.start, paths.stop, paths.step)
+            counts = np.diff(self.bounds)[rows]
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            pick = np.arange(bounds[-1]) + np.repeat(self.bounds[rows] - bounds[:-1], counts)
+            return JumpTable(self.times[pick], self.sizes[pick], bounds)
         start, stop = paths.start, max(paths.start, paths.stop)
         lo, hi = self.bounds[start], self.bounds[stop]
         return JumpTable(self.times[lo:hi], self.sizes[lo:hi], self.bounds[start:stop + 1] - lo)
@@ -327,8 +319,7 @@ class PathEnsemble:
     driver whose paths the values are (a martingale part records the
     martingale driver; None for any other ensemble); functions given a driver
     beside its ensemble check it.  ``jumps`` holds the exact jumps of every
-    path as one :class:`JumpTable`; a sequence of one record per path is
-    tabled once, on construction.
+    path as one :class:`JumpTable`, or None.
     """
 
     values: np.ndarray
@@ -354,11 +345,10 @@ class PathEnsemble:
         if v.flags.writeable:  # a read-only float64 array is kept as given
             v = _readonly(v)
         object.__setattr__(self, "values", v)
-        if self.jumps is not None:
-            if len(self.jumps) != v.shape[0]:
-                raise ConsistencyError("need one JumpRecord per path")
-            if not isinstance(self.jumps, JumpTable):
-                object.__setattr__(self, "jumps", JumpTable.of(self.jumps))
+        if not isinstance(self.jumps, (JumpTable, type(None))):
+            raise ConsistencyError(f"jumps must be a JumpTable or None, got {type(self.jumps).__name__}")
+        if self.jumps is not None and len(self.jumps) != v.shape[0]:
+            raise ConsistencyError(f"need a JumpTable of {v.shape[0]} paths, got {len(self.jumps)}")
 
     @property
     def n_paths(self) -> int:

@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .drivers import _FILL_ROWS, reject_coincident_jumps, simulate_paths, standard_poisson
-from .ensembles import JumpRecord, JumpTable, TimeGrid, _jump_values, _rows
+from .ensembles import JumpTable, TimeGrid, _by_row, _jump_values, _rows
 from .errors import DomainError, ParameterError
 from .riemann import MeshStudy, _mesh_list, _mesh_study, uniform_partition
 from . import drivers
@@ -52,23 +52,26 @@ class IdentityReport:
 
 
 def stieltjes_integral(
-    jumps: JumpRecord,
+    jumps: JumpTable,
     t: float,
     integrand_rule: Literal["left_limit", "current_value"],
-) -> float:
-    """Pathwise self-integral of a pure-jump path up to time t.
+) -> np.ndarray:
+    """Each path's pathwise self-integral of its pure-jump path up to time t.
 
-    The integrator is the pure-jump path described by the record; the
-    integrand is the same path evaluated either just before each jump or at
-    the jump itself.
+    The integrator is the pure-jump path of the table's row; the integrand
+    is the same path evaluated either just before each jump or at the jump
+    itself.  A path's values and terms are summed in time order along its
+    own row, so its value has the bits of its one-path table's, wherever it
+    sits in a table.  Returns one value per path.
     """
     if integrand_rule not in ("left_limit", "current_value"):
         raise DomainError(f"unknown integrand rule {integrand_rule!r}")
-    mask = jumps.times <= t
-    sizes = jumps.sizes[mask]
-    post = np.cumsum(sizes)
-    values = post if integrand_rule == "current_value" else post - sizes
-    return float(np.dot(values, sizes))
+    # column 0 is each path's value before its first jump, and term 0 is 0
+    row, _, terms = _by_row(jumps.sizes, jumps.bounds, first=1)
+    values = np.cumsum(terms, axis=1)
+    terms[:, 1:] *= values[:, 1:] if integrand_rule == "current_value" else values[:, :-1]
+    np.cumsum(terms, axis=1, out=terms)
+    return terms[np.arange(len(jumps)), np.bincount(row[jumps.times <= t], minlength=len(jumps))]
 
 
 def _identity_sums(points: np.ndarray, jumps: JumpTable) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +105,7 @@ def _identity_sums(points: np.ndarray, jumps: JumpTable) -> tuple[np.ndarray, np
     x[np.arange(rows)[:, None], np.arange(m) + shift] = _jump_values(points, t, s, bounds)
     x[r_own, q_own + earlier] = post[own]
     left = (x[:, :-1] * np.diff(x, axis=1)).sum(axis=1)
-    return left, np.bincount(row, weights=post * s, minlength=rows)
+    return left, stieltjes_integral(jumps, points[-1], "current_value")
 
 
 def poisson_identity_check(

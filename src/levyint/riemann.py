@@ -268,12 +268,15 @@ def increment_independence_z(phi: PathEnsemble, m: PathEnsemble) -> np.ndarray:
     if n < 2:
         raise ConsistencyError("covariance needs at least two paths")
 
-    def pairs():
-        for _, pv, mv in _blocks(n, phi, m):
-            yield pv[:, :-1, :].mean(axis=2), np.diff(mv[:, :, 0], axis=1)
+    values = (lambda v: v[:, :-1, :].mean(axis=2), lambda v: np.diff(v[:, :, 0], axis=1))
 
-    # the means first, then the products centred at them; a single path is
-    # its own mean, so a deterministic side centres to exactly 0
-    means = [x[0] if e.n_paths == 1 else _moments(lambda i=i: (pair[i] for pair in pairs()), 1)[0]
-             for i, (x, e) in enumerate(zip(next(pairs()), (phi, m)))]
-    return _z_score(*_moments(lambda: ((p - means[0]) * (d - means[1]) for p, d in pairs()), 2))
+    def side(i):
+        return (values[i](v) for _, v in _blocks(n, (phi, m)[i]))
+
+    # the means first, each from its own side, then the products centred at
+    # them; a single path is its own mean, so a deterministic side centres to
+    # exactly 0
+    means = [next(side(i))[0] if e.n_paths == 1 else _moments(lambda i=i: side(i), 1)[0]
+             for i, e in enumerate((phi, m))]
+    return _z_score(*_moments(lambda: ((values[0](pv) - means[0]) * (values[1](mv) - means[1])
+                                       for _, pv, mv in _blocks(n, phi, m)), 2))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import levyint as li
@@ -30,14 +31,19 @@ def cadlag_specs():
     ]
 
 
-def ensemble_from_record(grid, record, drift=0.0, spec=None):
-    """Single-path cadlag ensemble evaluated exactly from a jump record."""
-    values = (record.values_at(grid.points) + drift * grid.points)[None, :, None]
-    return li.PathEnsemble(
-        values=values, grid=grid, adapted=True, jumps=(record,), spec=spec
-    )
+def jump_table(*paths):
+    """The JumpTable of paths given as ``(times, sizes)`` pairs, path r being ``paths[r]``."""
+    return li.JumpTable(np.concatenate([np.empty(0), *(np.asarray(t, dtype=float) for t, _ in paths)]),
+                        np.concatenate([np.empty(0), *(np.asarray(s, dtype=float) for _, s in paths)]),
+                        np.cumsum([0, *(len(t) for t, _ in paths)]))
+
+
+def ensemble_from_jumps(grid, jumps, drift=0.0, spec=None):
+    """Cadlag ensemble evaluated exactly from a table of jumps."""
+    values = (jumps.values_at(grid.points) + drift * grid.points)[:, :, None]
+    return li.PathEnsemble(values=values, grid=grid, adapted=True, jumps=jumps, spec=spec)
 
 
 @pytest.fixture
-def record_ensemble_factory():
-    return ensemble_from_record
+def jump_ensemble_factory():
+    return ensemble_from_jumps

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levyint as li
+from conftest import jump_table
 from levyint import drivers
 from levyint.drivers import reconstruction_residual, reject_coincident_jumps
 from levyint.errors import ConsistencyError, NumericError, ParameterError
@@ -335,7 +336,7 @@ class TestBlockFill:
         for row, rec in zip(ens.values[:, :, 0], ens.jumps, strict=True):
             want = _reference_jump_values(rec, grid.points) + drift
             assert np.array_equal(row, want) and (np.signbit(row) == np.signbit(want)).all()
-            assert np.array_equal(rec.values_at(grid.points) + drift, want)
+            assert np.array_equal(rec.values_at(grid.points)[0] + drift, want)
 
     @settings(max_examples=20, deadline=None)
     @given(grid=_grids, n_paths=st.integers(1, 600), offset=st.integers(0, 300),
@@ -375,10 +376,10 @@ class TestBlockFill:
         assert np.signbit(sizes).any() and not np.signbit(sizes).all()
         for rec, row in zip(ens.jumps, ens.values[:, :, 0]):
             want = _reference_jump_values(rec, grid100.points)
-            assert (np.signbit(rec.values_at(grid100.points)) == np.signbit(want)).all()
+            assert (np.signbit(rec.values_at(grid100.points)[0]) == np.signbit(want)).all()
             assert (np.signbit(row) == np.signbit(want + -0.0 * grid100.points)).all()
         first_negative = next(rec for rec in ens.jumps if np.signbit(rec.sizes[0]))
-        assert np.signbit(first_negative.values_at(first_negative.times[:1])[0])
+        assert np.signbit(first_negative.values_at(first_negative.times[:1])[0, 0])
 
     def test_paths_without_jumps(self, grid100):
         ens = li.simulate_paths(li.CompensatedPoisson(rate=1e-6), grid100, 5, 6)
@@ -386,13 +387,22 @@ class TestBlockFill:
         assert np.array_equal(ens.values[:, :, 0], np.broadcast_to(-1e-6 * grid100.points, (5, 101)))
 
     def test_no_record_is_built_or_evaluated_per_path(self, monkeypatch, grid100):
+        # the simulated table is the one table built; a table's one-path
+        # values are never formed
+        built, init = [], li.JumpTable.__post_init__
+
+        def counted(table):
+            init(table)
+            built.append(len(table))
+
         def per_path(*args, **kwargs):
             raise AssertionError("called once per path")
 
-        monkeypatch.setattr(li.JumpRecord, "__post_init__", per_path)
-        monkeypatch.setattr(li.JumpRecord, "values_at", per_path)
-        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 300, 6)
+        monkeypatch.setattr(li.JumpTable, "__post_init__", counted)
+        monkeypatch.setattr(li.JumpTable, "values_at", per_path)
+        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 3 * drivers._FILL_ROWS + 5, 6)
         assert reconstruction_residual(li.CompensatedPoisson(rate=2.0), ens) == 0.0
+        assert built == [3 * drivers._FILL_ROWS + 5]
 
     @pytest.mark.parametrize("spec", [li.Brownian(drift=1e308), li.CompensatedPoisson(drift=1e308)],
                              ids=["brownian", "jump"])
@@ -401,23 +411,26 @@ class TestBlockFill:
             li.simulate_paths(spec, li.TimeGrid.uniform(10.0, 10), 300, 6)
 
     def test_values_at_counts_a_jump_at_its_time(self):
-        rec = li.JumpRecord(times=np.array([0.2, 0.6]), sizes=np.array([1.0, 2.0]))
-        assert rec.values_at(np.array([0.0, 0.2, 0.2, 0.5, 0.6, 0.9])).tolist() == [0, 1, 1, 1, 3, 3]
-        assert rec.values_at(np.array([0.9, 0.1])).tolist() == [3.0, 0.0]
-        assert rec.values_at(np.array([])).shape == (0,)
+        rec = jump_table(([0.2, 0.6], [1.0, 2.0]))
+        assert rec.values_at(np.array([0.0, 0.2, 0.2, 0.5, 0.6, 0.9])).tolist() == [[0, 1, 1, 1, 3, 3]]
+        assert rec.values_at(np.array([0.9, 0.1])).tolist() == [[3.0, 0.0]]
+        assert rec.values_at(np.array([])).shape == (1, 0)
+        table = jump_table(([0.2, 0.6], [1.0, 2.0]), ([], []), ([0.5], [-4.0]))
+        assert table.values_at([0.0, 0.2, 0.5, 0.6]).tolist() == [[0, 1, 1, 3], [0, 0, 0, 0], [0, 0, -4, -4]]
+        # points in any order, as for one path
+        assert table.values_at([0.9, 0.1, 0.5]).tolist() == [[3, 0, 1], [0, 0, 0], [-4, 0, -4]]
+        assert table.values_at(np.array([])).shape == (3, 0)
 
 
 class TestCoincidentJumps:
-    def _ensemble(self, *records):
+    def _ensemble(self, *paths):
         grid = li.TimeGrid.uniform(1.0, 4)
-        values = np.stack([rec.values_at(grid.points) for rec in records])
-        return li.PathEnsemble(values, grid, adapted=True, jumps=records)
+        table = jump_table(*paths)
+        return li.PathEnsemble(table.values_at(grid.points), grid, adapted=True, jumps=table)
 
     def test_equal_times_on_two_paths_pass(self):
         # path 0 ends at 0.5 where path 1 starts, and an empty path between
-        ens = self._ensemble(li.JumpRecord(times=np.array([0.2, 0.5]), sizes=np.ones(2)),
-                             li.JumpRecord(times=np.array([]), sizes=np.array([])),
-                             li.JumpRecord(times=np.array([0.5, 0.7]), sizes=np.ones(2)))
+        ens = self._ensemble(([0.2, 0.5], np.ones(2)), ([], []), ([0.5, 0.7], np.ones(2)))
         reject_coincident_jumps(ens)
 
     @pytest.mark.parametrize("times, error", [([0.5, 0.5], ConsistencyError),
@@ -425,11 +438,9 @@ class TestCoincidentJumps:
                              ids=["equal", "below_separation"])
     def test_close_times_on_one_path_raise(self, times, error):
         # equal times are refused before they reach an ensemble: by a
-        # record, and by the table a fill builds (TestJumpTable)
+        # hand-built table, and by the table a fill builds (TestJumpTable)
         with pytest.raises(error):
-            close = li.JumpRecord(times=np.array([0.1, *times]), sizes=np.ones(3))
-            ens = self._ensemble(li.JumpRecord(times=np.array([0.3]), sizes=np.ones(1)), close,
-                                 li.JumpRecord(times=np.array([]), sizes=np.array([])))
+            ens = self._ensemble(([0.3], np.ones(1)), ([0.1, *times], np.ones(3)), ([], []))
             reject_coincident_jumps(ens)
 
 

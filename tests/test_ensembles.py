@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import levyint as li
+from conftest import jump_table
 from levyint.drivers import reconstruction_residual
 from levyint.errors import (
     ConsistencyError,
@@ -217,13 +218,13 @@ class TestLeftLimit:
 
     def test_on_grid_jump_removed(self):
         grid = li.TimeGrid.uniform(1.0, 4)
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
+        rec = jump_table(([0.5], [1.0]))
         counts = np.searchsorted(rec.times, grid.points, side="right")
         e = li.PathEnsemble(
             values=counts.astype(float)[None, :, None],
             grid=grid,
             adapted=True,
-            jumps=(rec,),
+            jumps=rec,
         )
         before = e.values.copy()
         ll = li.left_limit(e)
@@ -241,13 +242,13 @@ class TestLeftLimit:
         assert np.shares_memory(ll.values, e.values)
         assert ll.grid_predictable and ll.jumps is e.jumps
 
-    def test_on_grid_jump_drops_the_driver(self, record_ensemble_factory):
+    def test_on_grid_jump_drops_the_driver(self, jump_ensemble_factory):
         # a compensated Poisson path with a jump at 0.5 on a 4-step grid: its
         # left limit is no longer the driver's path
         spec = li.CompensatedPoisson(rate=1.0)
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
+        rec = jump_table(([0.5], [1.0]))
         grid = li.TimeGrid.uniform(1.0, 4)
-        x = record_ensemble_factory(grid, rec, drift=-1.0, spec=spec)
+        x = jump_ensemble_factory(grid, rec, drift=-1.0, spec=spec)
         assert reconstruction_residual(spec, x) == 0.0
         ll = li.left_limit(x)
         assert ll.spec is None
@@ -259,22 +260,22 @@ class TestLeftLimit:
         ll = li.left_limit(e)
         assert ll.spec == spec and ll.values is e.values
 
-    def test_reconstruction_from_jump_record(self, record_ensemble_factory):
+    def test_reconstruction_from_jump_record(self, jump_ensemble_factory):
         base = li.TimeGrid.uniform(1.0, 8)
-        rec = li.JumpRecord(times=np.array([0.3, 0.5]), sizes=np.array([2.0, -1.0]))
+        rec = jump_table(([0.3, 0.5], [2.0, -1.0]))
         grid = base.augmented(rec.times)
-        e = record_ensemble_factory(grid, rec)
+        e = jump_ensemble_factory(grid, rec)
         ll = li.left_limit(e)
         delta = np.zeros(grid.n_points)
         for t, s in zip(rec.times, rec.sizes):
             delta[grid.index_of(t)] = s
         assert np.max(np.abs(ll.values[0, :, 0] + delta - e.values[0, :, 0])) < 1e-12
 
-    def test_idempotent(self, record_ensemble_factory):
+    def test_idempotent(self, jump_ensemble_factory):
         base = li.TimeGrid.uniform(1.0, 8)
-        rec = li.JumpRecord(times=np.array([0.25]), sizes=np.array([1.5]))
+        rec = jump_table(([0.25], [1.5]))
         grid = base.augmented(rec.times)
-        e = record_ensemble_factory(grid, rec)
+        e = jump_ensemble_factory(grid, rec)
         once = li.left_limit(e)
         twice = li.left_limit(once)
         assert np.array_equal(once.values, twice.values)
@@ -287,14 +288,14 @@ class TestLeftLimit:
         with pytest.raises(MissingJumpDataError):
             li.left_limit(stripped)
 
-    def test_time_measure_of_change_shrinks(self, record_ensemble_factory):
+    def test_time_measure_of_change_shrinks(self, jump_ensemble_factory):
         # on-grid jump contributes size^2 * dt to the time quadrature of
         # ||Phi - left limit||^2; refining the grid halves it
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([2.0]))
+        rec = jump_table(([0.5], [2.0]))
         out = []
         for steps in (8, 16, 32):
             grid = li.TimeGrid.uniform(1.0, steps)
-            e = record_ensemble_factory(grid, rec)
+            e = jump_ensemble_factory(grid, rec)
             ll = li.left_limit(e)
             sq = np.mean((e.values - ll.values)[:, :, 0] ** 2, axis=0)
             out.append(float(np.dot(sq[:-1], grid.dt)))
@@ -355,7 +356,7 @@ def _per_path_records(spec, grid, n_paths, seed, path_offset=0):
             sizes = np.array([-1.0, 1.0])[rng.integers(0, 2, size=t.size)]
         else:
             sizes = spec.jump_law.sample(rng, t.size)
-        records.append(li.JumpRecord(times=t, sizes=sizes))
+        records.append(jump_table((t, sizes)))
     return records
 
 
@@ -378,10 +379,19 @@ class TestJumpTable:
         assert _same_records(list(jumps), want)
         assert _same_records([jumps[i] for i in range(300)], want)
         assert _same_records([jumps[-1]], want[-1:])
+        for i in (0, 41, -1):
+            one = jumps[i]
+            assert isinstance(one, li.JumpTable) and len(one) == 1 and one.count == want[i].count
+            assert one.bounds.tolist() == [0, one.count]
+        # paths 41 and -1 have jumps under both specs
+        for one in (jumps[41], jumps[-1]):
+            assert np.shares_memory(one.times, jumps.times) and np.shares_memory(one.sizes, jumps.sizes)
         for rows in (slice(None), slice(17, 171), slice(290, 400), slice(-5, None), slice(3, 60, 7),
-                     slice(None, None, -1), slice(50, 50), slice(80, 20)):
+                     slice(None, None, 7), slice(None, None, -1), slice(60, 3, -7), slice(50, 50),
+                     slice(80, 20), slice(5, 2, 2)):
             part = jumps[rows]
             assert isinstance(part, li.JumpTable) and _same_records(list(part), want[rows])
+            assert part.count == sum(rec.count for rec in want[rows])
         assert not jumps[50:50] and jumps[50:50].bounds.tolist() == [0]
         with pytest.raises(IndexError):
             jumps[300]
@@ -414,18 +424,21 @@ class TestJumpTable:
 
     def test_hand_built_records_are_tabled_and_validated(self):
         grid = li.TimeGrid.uniform(1.0, 4)
-        records = (li.JumpRecord(times=np.array([0.3, 0.5]), sizes=np.array([2.0, -1.0])),
-                   li.JumpRecord(times=np.array([]), sizes=np.array([])),
-                   li.JumpRecord(times=np.array([0.25]), sizes=np.array([1.5])))
-        values = np.stack([rec.values_at(grid.points) for rec in records])
-        e = li.PathEnsemble(values, grid, adapted=True, jumps=records)
-        assert isinstance(e.jumps, li.JumpTable)
+        table = li.JumpTable([0.3, 0.5, 0.25], [2.0, -1.0, 1.5], [0, 2, 2, 3])
+        records = (jump_table(([0.3, 0.5], [2.0, -1.0])), jump_table(([], [])), jump_table(([0.25], [1.5])))
+        assert _same_records(list(table), records)
+        values = table.values_at(grid.points)
+        assert np.array_equal(values, np.concatenate([rec.values_at(grid.points) for rec in records]))
+        e = li.PathEnsemble(values, grid, adapted=True, jumps=table)
+        assert e.jumps is table
         assert e.jumps.bounds.tolist() == [0, 2, 2, 3]
         assert e.jumps.times.tolist() == [0.3, 0.5, 0.25]
-        assert _same_records(list(e.jumps), records)
         assert li.left_limit(e).jumps is e.jumps
-        with pytest.raises(ConsistencyError, match="one JumpRecord per path"):
-            li.PathEnsemble(values, grid, adapted=True, jumps=records[:2])
+        with pytest.raises(ConsistencyError, match="a JumpTable of 3 paths, got 2"):
+            li.PathEnsemble(values, grid, adapted=True, jumps=table[:2])
+        # a sequence of one-path tables is not a table
+        with pytest.raises(ConsistencyError, match="a JumpTable or None, got tuple"):
+            li.PathEnsemble(values, grid, adapted=True, jumps=records)
 
     @pytest.mark.parametrize("times, sizes, bounds", [
         ([0.1, 0.2], [1.0], [0, 2]),
@@ -456,14 +469,10 @@ def _reduction_outputs():
     bw = li.simulate_paths(li.Brownian(), grid, 300, 3)
     cp_spec = li.CompoundPoisson(rate=3.0, jump_law=li.TwoPointJumps())
     cp = li.simulate_paths(cp_spec, grid, 300, 4)
-    records = tuple(
-        li.JumpRecord(times=grid.points[[1 + p % 20, 22]], sizes=np.array([1.0, -0.5 * (p % 3)]))
-        for p in range(300)
-    )
-    hit = li.PathEnsemble(np.stack([r.values_at(grid.points) for r in records]), grid,
-                          adapted=True, jumps=records)
+    jumps = jump_table(*((grid.points[[1 + p % 20, 22]], [1.0, -0.5 * (p % 3)]) for p in range(300)))
+    hit = li.PathEnsemble(jumps.values_at(grid.points), grid, adapted=True, jumps=jumps)
     two = li.PathEnsemble(np.concatenate([bw.values, hit.values], axis=2), grid,
-                          adapted=True, jumps=records)
+                          adapted=True, jumps=jumps)
     ramp = li.PathEnsemble.deterministic(grid, lambda t: t)
     curve2 = li.PathEnsemble.deterministic(grid, lambda t: np.stack([t, 1 - t * t], axis=1), dim=2)
     square = li.PathEnsemble.deterministic(grid, lambda t: t * t)

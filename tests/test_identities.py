@@ -4,55 +4,82 @@ import numpy as np
 import pytest
 
 import levyint as li
+from conftest import jump_table
 from levyint import identities
+from levyint.drivers import _FILL_ROWS
 from levyint.errors import DomainError, InsufficientDataError, NumericError, ParameterError
+
+
+def _dot_form(times, sizes, t, rule):
+    """A path's Stieltjes self-integral as the per-path np.dot once formed it."""
+    s = sizes[times <= t]
+    post = np.cumsum(s)
+    return float(np.dot(post if rule == "current_value" else post - s, s))
 
 
 class TestStieltjesIntegral:
     def test_no_jumps(self):
-        rec = li.JumpRecord(times=np.array([]), sizes=np.array([]))
-        assert li.stieltjes_integral(rec, 1.0, "left_limit") == 0.0
-        assert li.stieltjes_integral(rec, 1.0, "current_value") == 0.0
+        rec = jump_table(([], []))
+        assert li.stieltjes_integral(rec, 1.0, "left_limit").tolist() == [0.0]
+        assert li.stieltjes_integral(rec, 1.0, "current_value").tolist() == [0.0]
+        assert li.stieltjes_integral(jump_table(), 1.0, "current_value").shape == (0,)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_unit_jump_formulas(self, k):
-        rec = li.JumpRecord(
-            times=np.linspace(0.1, 0.9, k), sizes=np.ones(k)
-        )
-        cur = li.stieltjes_integral(rec, 1.0, "current_value")
-        left = li.stieltjes_integral(rec, 1.0, "left_limit")
+        rec = jump_table((np.linspace(0.1, 0.9, k), np.ones(k)))
+        cur = li.stieltjes_integral(rec, 1.0, "current_value")[0]
+        left = li.stieltjes_integral(rec, 1.0, "left_limit")[0]
         assert cur == pytest.approx(k * (k + 1) / 2, abs=1e-12)
         assert left == pytest.approx(k * (k - 1) / 2, abs=1e-12)
         assert cur - left == pytest.approx(k, abs=1e-12)
 
     def test_time_cutoff(self):
-        rec = li.JumpRecord(times=np.array([0.2, 0.8]), sizes=np.array([1.0, 1.0]))
-        assert li.stieltjes_integral(rec, 0.5, "current_value") == 1.0
+        table = jump_table(([0.2, 0.8], [1.0, 1.0]), ([0.1, 0.3, 0.5], [1.0, 2.0, 1.0]), ([0.6], [3.0]))
+        assert li.stieltjes_integral(table, 0.5, "current_value").tolist() == [1.0, 1.0 + 6.0 + 4.0, 0.0]
 
     def test_unknown_rule_rejected(self):
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
+        rec = jump_table(([0.5], [1.0]))
         with pytest.raises(DomainError):
             li.stieltjes_integral(rec, 1.0, "midpoint")
 
     def test_rule_gap_is_squared_jump_mass(self):
         # current-value minus left-limit rule accumulates the squared sizes
-        rec = li.JumpRecord(times=np.array([0.2, 0.6]), sizes=np.array([2.0, -1.0]))
-        cur = li.stieltjes_integral(rec, 1.0, "current_value")
-        left = li.stieltjes_integral(rec, 1.0, "left_limit")
+        rec = jump_table(([0.2, 0.6], [2.0, -1.0]))
+        cur = li.stieltjes_integral(rec, 1.0, "current_value")[0]
+        left = li.stieltjes_integral(rec, 1.0, "left_limit")[0]
         assert cur - left == pytest.approx(5.0, abs=1e-12)
 
     def test_left_rule_matches_riemann_sum_on_separating_partition(
-        self, record_ensemble_factory
+        self, jump_ensemble_factory
     ):
         spec = li.standard_poisson(rate=3.0)
         base = li.TimeGrid.uniform(1.0, 8)
         sampled = li.simulate_paths(spec, base, 4, 71)
         for rec in sampled.jumps:
             grid = base.augmented(rec.times)
-            x = record_ensemble_factory(grid, rec)
+            x = jump_ensemble_factory(grid, rec)
             left_sum = li.riemann_sum(x, x, grid).scalar()[0]
-            st = li.stieltjes_integral(rec, 1.0, "left_limit")
+            st = li.stieltjes_integral(rec, 1.0, "left_limit")[0]
             assert abs(left_sum - st) < 1e-12
+
+    @pytest.mark.parametrize("rule", ["left_limit", "current_value"])
+    @pytest.mark.parametrize("law", [li.NormalJumps(loc=0.3, scale=0.5), li.TwoPointJumps(), None],
+                             ids=["normal", "two_point", "standard_poisson"])
+    def test_each_path_has_the_bits_of_its_own_table(self, grid100, law, rule):
+        spec = li.standard_poisson(40.0) if law is None else li.CompoundPoisson(rate=40.0, jump_law=law)
+        jumps = li.simulate_paths(spec, grid100, 400, 21).jumps
+        t = 0.75
+        values = li.stieltjes_integral(jumps, t, rule)
+        assert values.shape == (400,)
+        alone = np.concatenate([li.stieltjes_integral(rec, t, rule) for rec in jumps])
+        assert values.tobytes() == alone.tobytes()
+        assert values[123:321].tobytes() == li.stieltjes_integral(jumps[123:321], t, rule).tobytes()
+        old = np.array([_dot_form(rec.times, rec.sizes, t, rule) for rec in jumps])
+        if law is None or isinstance(law, li.TwoPointJumps):
+            # integer sizes: every term and partial sum is exact
+            assert np.array_equal(values, old)
+        else:
+            assert np.max(np.abs(values - old) / np.abs(old)) < 1e-12
 
 
 class TestPoissonIdentityCheck:
@@ -88,19 +115,20 @@ class TestPoissonIdentityCheck:
         assert np.max(np.abs(gap - rep.terminal_counts)) < 1e-12
 
     def test_no_record_is_built_per_path(self, monkeypatch):
-        def per_path(*args, **kwargs):
-            raise AssertionError("called once per path")
+        # one table for the simulated paths and one per block of rows
+        built, init = [], li.JumpTable.__post_init__
 
-        monkeypatch.setattr(li.JumpRecord, "__post_init__", per_path)
-        monkeypatch.setattr(identities, "stieltjes_integral", per_path)
+        def counted(table):
+            init(table)
+            built.append(len(table))
+
+        monkeypatch.setattr(li.JumpTable, "__post_init__", counted)
         assert li.poisson_identity_check(2.0, 1.0, 600, 3).passed
+        assert built == [600, _FILL_ROWS, _FILL_ROWS, 600 - 2 * _FILL_ROWS]
 
-    def test_coincident_jump_guard(self, record_ensemble_factory):
+    def test_coincident_jump_guard(self, jump_ensemble_factory):
         grid = li.TimeGrid.uniform(1.0, 4)
-        rec = li.JumpRecord(
-            times=np.array([0.5, 0.5 + 1e-16]), sizes=np.array([1.0, 1.0])
-        )
-        ens = record_ensemble_factory(grid, rec)
+        ens = jump_ensemble_factory(grid, jump_table(([0.5, 0.5 + 1e-16], [1.0, 1.0])))
         with pytest.raises(NumericError):
             li.drivers.reject_coincident_jumps(ens)
 
@@ -109,8 +137,8 @@ def _per_path_sums(points, rec):
     """A path's left sum on its jump-augmented partition and its current-value
     Stieltjes sum, formed on their own, as the check once did path by path."""
     pts = np.union1d(points, rec.times)
-    x = rec.values_at(pts)
-    return float(np.dot(x[:-1], np.diff(x))), li.stieltjes_integral(rec, points[-1], "current_value")
+    x = rec.values_at(pts)[0]
+    return float(np.dot(x[:-1], np.diff(x))), li.stieltjes_integral(rec, points[-1], "current_value")[0]
 
 
 class TestIdentitySums:
@@ -118,15 +146,13 @@ class TestIdentitySums:
 
     def test_jumps_on_and_between_base_points(self):
         points = np.linspace(0.0, 1.0, 5)
-        records = [
-            li.JumpRecord(times=np.array([0.25, 0.3, 0.5, 1.0]), sizes=np.ones(4)),
-            li.JumpRecord(times=np.array([]), sizes=np.array([])),
-            li.JumpRecord(times=np.array([0.1, 0.2, 0.21, 0.22]), sizes=np.array([1.0, 2.0, -1.0, 3.0])),
-            li.JumpRecord(times=np.array([0.75]), sizes=np.ones(1)),
-            li.JumpRecord(times=np.array([1e-9, 0.9999]), sizes=np.ones(2)),
-        ]
-        left, st = identities._identity_sums(points, li.JumpTable.of(records))
-        want = np.array([_per_path_sums(points, rec) for rec in records])
+        table = jump_table(([0.25, 0.3, 0.5, 1.0], np.ones(4)),
+                           ([], []),
+                           ([0.1, 0.2, 0.21, 0.22], [1.0, 2.0, -1.0, 3.0]),
+                           ([0.75], np.ones(1)),
+                           ([1e-9, 0.9999], np.ones(2)))
+        left, st = identities._identity_sums(points, table)
+        want = np.array([_per_path_sums(points, rec) for rec in table])
         assert np.array_equal(left, want[:, 0]) and np.array_equal(st, want[:, 1])
         # jumps on base points are not repeated: the partition is 0, 0.25,
         # 0.3, 0.5, 0.75, 1 with values 0, 1, 2, 3, 3, 4

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import levyint as li
+from conftest import jump_table
 from levyint.errors import AdaptednessError, ConsistencyError, DomainError, ParameterError
 
 
@@ -12,10 +13,10 @@ class TestPredictableVersion:
         assert np.array_equal(p.values, w.values)
         assert p.grid_predictable
 
-    def test_counting_process_gets_left_limits(self, record_ensemble_factory):
-        rec = li.JumpRecord(times=np.array([0.5]), sizes=np.array([1.0]))
+    def test_counting_process_gets_left_limits(self, jump_ensemble_factory):
+        rec = jump_table(([0.5], [1.0]))
         grid = li.TimeGrid.uniform(1.0, 4)
-        x = record_ensemble_factory(grid, rec)
+        x = jump_ensemble_factory(grid, rec)
         p = li.predictable_version(x)
         assert p.values[0, grid.index_of(0.5), 0] == 0.0
 
@@ -24,21 +25,19 @@ class TestPredictableVersion:
         with pytest.raises(AdaptednessError):
             li.predictable_version(phi)
 
-    def test_linearity(self, record_ensemble_factory):
+    def test_linearity(self, jump_ensemble_factory):
         base = li.TimeGrid.uniform(1.0, 8)
-        rec1 = li.JumpRecord(times=np.array([0.3]), sizes=np.array([2.0]))
-        rec2 = li.JumpRecord(times=np.array([0.7]), sizes=np.array([-1.0]))
-        merged = li.JumpRecord(
-            times=np.array([0.3, 0.7]), sizes=np.array([2.0 * 2.0, 3.0 * -1.0])
-        )
+        rec1 = jump_table(([0.3], [2.0]))
+        rec2 = jump_table(([0.7], [-1.0]))
+        merged = jump_table(([0.3, 0.7], [2.0 * 2.0, 3.0 * -1.0]))
         grid = base.augmented(np.array([0.3, 0.7]))
-        x1 = record_ensemble_factory(grid, rec1)
-        x2 = record_ensemble_factory(grid, rec2)
+        x1 = jump_ensemble_factory(grid, rec1)
+        x2 = jump_ensemble_factory(grid, rec2)
         combo = li.PathEnsemble(
             values=2.0 * x1.values + 3.0 * x2.values,
             grid=grid,
             adapted=True,
-            jumps=(merged,),
+            jumps=merged,
         )
         lhs = li.predictable_version(combo).values
         rhs = (

@@ -80,8 +80,8 @@ _CASES = {
                                    lambda: _pairing(_paths(dim=2), _paths(dim=3))),
     "pairing_path_count_mismatch": (ConsistencyError, "path count mismatch",
                                     lambda: _pairing(_paths(n=2), _paths(n=3))),
-    "jump_record_unequal_lengths": (ConsistencyError, "equal length",
-                                    lambda: li.JumpRecord(times=[0.25, 0.5], sizes=[1.0])),
+    "jump_table_unequal_lengths": (ConsistencyError, "number of jump times and sizes",
+                                   lambda: li.JumpTable(times=[0.25, 0.5], sizes=[1.0], bounds=[0, 2])),
     "oracle_wrong_shape": (ConsistencyError, "one entry per coordinate",
                            lambda: li.linear_variance_oracle(li.heat_operator(3), np.ones(2),
                                                              li.Brownian(), 1.0)),

@@ -31,7 +31,7 @@ class TestRiemannSum:
         assert np.max(np.abs(res - target)) < 1e-12
 
     def test_poisson_self_integral_on_separating_partition(
-        self, record_ensemble_factory
+        self, jump_ensemble_factory
     ):
         # one sampled counting path, partition refined by its own jump times
         spec = li.standard_poisson(rate=4.0)
@@ -40,7 +40,7 @@ class TestRiemannSum:
         rec = ens.jumps[0]
         assert rec.count >= 2
         grid = base.augmented(rec.times)
-        x = record_ensemble_factory(grid, rec)
+        x = jump_ensemble_factory(grid, rec)
         res = li.riemann_sum(x, x, grid).scalar()[0]
         k = float(rec.count)
         assert res == pytest.approx(0.5 * (k * k - k), abs=1e-12)
@@ -251,14 +251,14 @@ class TestLevyIntegral:
         y = li.levy_integral(phi, spec, x)
         assert np.max(np.abs(y.values - (x.values - x.values[:, :1, :]))) < 1e-12
 
-    def test_poisson_self_integral(self, record_ensemble_factory):
+    def test_poisson_self_integral(self, jump_ensemble_factory):
         spec = li.standard_poisson(rate=3.0)
         base = li.TimeGrid.uniform(1.0, 8)
         sampled = li.simulate_paths(spec, base, 1, 23)
         rec = sampled.jumps[0]
         assert rec.count >= 2
         grid = base.augmented(rec.times)
-        x = record_ensemble_factory(grid, rec, spec=spec)
+        x = jump_ensemble_factory(grid, rec, spec=spec)
         y = li.levy_integral(x, spec, x)
         k = float(rec.count)
         assert y.values[0, -1, 0] == pytest.approx(0.5 * (k * k - k), abs=1e-12)
