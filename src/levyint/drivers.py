@@ -45,7 +45,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import JumpTable, PathEnsemble, TimeGrid, _integer, _jump_values, _rows, _run_blocks
+from .ensembles import (JumpTable, PathEnsemble, TimeGrid, _block_rows, _integer, _jump_values, _row_slices,
+                        _rows, _run_blocks)
 from .errors import ConsistencyError, NumericError, ParameterError
 
 
@@ -286,22 +287,17 @@ def _path_rngs(key: np.ndarray, offset: int, n: int) -> Iterator[np.random.Gener
         yield rng
 
 
-# rows per fill block: 256 rows x 1001 points of float64 is 2 MiB per
-# temporary.  Fills are bit-identical at any block size.
-_FILL_ROWS = 256
-
-
 def _fill_blocks(values: np.ndarray, fill) -> None:
-    """Run ``fill(first row, rows)`` on each ``_FILL_ROWS``-row block of
-    ``values[:, :, 0]`` (on the pool in a large call, see
-    ``ensembles._run_blocks``) and check each filled block finite."""
-    def task(a: int) -> None:
-        block = values[a:a + _FILL_ROWS, :, 0]
-        fill(a, block)
+    """Run ``fill(first row, rows)`` on each row block of ``values[:, :, 0]``
+    (on the pool in a large call, see ``ensembles._run_blocks``) and check
+    each filled block finite.  A fill row allocates one value a point."""
+    def task(rows: slice) -> None:
+        block = values[rows, :, 0]
+        fill(rows.start, block)
         if not np.isfinite(block).all():
             raise NumericError("simulation produced non-finite values")
 
-    _run_blocks(task, range(0, values.shape[0], _FILL_ROWS), *values.shape[:2])
+    _run_blocks(task, _row_slices(values.shape[0], _block_rows(values.shape[1])), *values.shape[:2])
 
 
 def _fill_brownian(spec: Brownian, grid: TimeGrid, values: np.ndarray, key: np.ndarray,
@@ -455,9 +451,9 @@ def reconstruction_residual(spec: LevySpec, ensemble: PathEnsemble) -> float:
     pts, jumps = ensemble.grid.points, ensemble.jumps
     drift = _path_drift(spec) * pts
     worst = 0.0
-    for a in range(0, ensemble.n_paths, _FILL_ROWS):
-        rebuilt = _jump_values(pts, jumps.times, jumps.sizes, jumps.bounds[a:a + _FILL_ROWS + 1]) + drift
-        worst = max(worst, float(np.max(np.abs(rebuilt - ensemble.values[a:a + _FILL_ROWS, :, 0]))))
+    for rows in _row_slices(ensemble.n_paths, _block_rows(2 * pts.size)):  # rebuilt values, errors
+        rebuilt = _jump_values(pts, jumps.times, jumps.sizes, jumps.bounds[rows.start:rows.stop + 1])
+        worst = max(worst, float(np.max(np.abs(rebuilt + drift - ensemble.values[rows, :, 0]))))
     return worst
 
 

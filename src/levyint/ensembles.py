@@ -6,7 +6,9 @@ grid points of the root mean squared Euclidean norm.  Every reduction walks
 the paths in blocks of paired rows (``_blocks``), so that large ensembles
 (1e5 paths x 1e3 grid points) never allocate full-size temporaries.  One
 estimator forms every mean over paths (``_moments``); it adds the paths in
-row order across blocks, so no output depends on the block size.
+row order across blocks, so no output depends on the block size.  Every
+path loop of the package takes as many rows as hold ``_BLOCK_BUDGET`` values
+of its block's temporaries (``_block_rows``), whatever the grid.
 
 A large call runs its row blocks on one thread per CPU (``_run_blocks``).
 Each block is computed exactly as it would be alone, so the output is the
@@ -37,8 +39,13 @@ from .errors import (
 if TYPE_CHECKING:
     from .drivers import LevySpec
 
-# rows per block in path reductions; it sets speed and memory, not bits
-_CHUNK_ROWS = 4096
+# float64 values (2 MiB) of the temporaries of a path block: speed and memory, not bits
+_BLOCK_BUDGET = 2**18
+
+
+def _block_rows(values_per_row: int) -> int:
+    """Rows of a path block whose rows each allocate ``values_per_row`` values."""
+    return max(1, _BLOCK_BUDGET // values_per_row)
 
 
 # A call's row blocks run on the pool when it holds at least _POOL_ELEMENTS
@@ -406,26 +413,27 @@ def _pairing(a: PathEnsemble, b: PathEnsemble) -> int:
     return max(a.n_paths, b.n_paths)
 
 
-def _row_slices(n: int, rows: int | None) -> Iterator[slice]:
-    """Consecutive slices of ``rows`` rows, or of ``_CHUNK_ROWS`` if not
-    given, covering n rows; the last takes the rest.  No output depends on
-    the size (see ``_moments``)."""
-    step = rows or _CHUNK_ROWS
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _row_slices(n: int, rows: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows covering n rows; the last takes
+    the rest.  No output depends on the size (see ``_moments``)."""
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
-def _blocks(n: int, *ensembles: PathEnsemble, rows: int | None = None) -> Iterator[tuple]:
+def _blocks(n: int, *ensembles: PathEnsemble) -> Iterator[tuple]:
     """Row slices of n paired paths, each with every ensemble's values on it.
 
     Yields ``(slice, values, ...)``.  A single-path (deterministic) ensemble
-    paired with n > 1 paths comes whole, shape (1, n_points, dim).  Slices
-    hold ``_CHUNK_ROWS`` rows, or ``rows`` if given (see ``_row_slices``).
-    Every block is C-contiguous: a view of contiguous values, or a copy of
-    one block of values kept in another layout, since numpy sums a block's
-    terms in an order that follows its layout, and a reduction must give the
-    same bits on a view as on a contiguous copy.
+    paired with n > 1 paths comes whole, shape (1, n_points, dim).  Work on
+    a block allocates about a copy or difference of its values and one value
+    a point (squares, increments, products), so a slice holds
+    ``_block_rows(n_points * (dim + 1))`` rows, dim the largest.  Every
+    block is C-contiguous: a view of contiguous values, or a copy of one
+    block of values kept in another layout, since numpy sums a block's terms
+    in an order that follows its layout, and a reduction must give the same
+    bits on a view as on a contiguous copy.
     """
+    rows = _block_rows(ensembles[0].n_points * (max(x.dim for x in ensembles) + 1))
     for sl in _row_slices(n, rows):
         yield (sl, *(np.ascontiguousarray(x.values[sl] if x.n_paths == n else x.values)
                      for x in ensembles))

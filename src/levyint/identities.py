@@ -17,8 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from .drivers import _FILL_ROWS, reject_coincident_jumps, simulate_paths, standard_poisson
-from .ensembles import JumpTable, TimeGrid, _by_row, _jump_values, _rows
+from .drivers import reject_coincident_jumps, simulate_paths, standard_poisson
+from .ensembles import JumpTable, TimeGrid, _block_rows, _by_row, _jump_values, _row_slices, _rows, _real
 from .errors import DomainError, ParameterError
 from .riemann import MeshStudy, _mesh_list, _mesh_study, uniform_partition
 from . import drivers
@@ -66,12 +66,14 @@ def stieltjes_integral(
     """
     if integrand_rule not in ("left_limit", "current_value"):
         raise DomainError(f"unknown integrand rule {integrand_rule!r}")
+    if not (time := _real(t)) >= 0:
+        raise DomainError(f"integral time must be finite and nonnegative, got {t!r}")
     # column 0 is each path's value before its first jump, and term 0 is 0
     row, _, terms = _by_row(jumps.sizes, jumps.bounds, first=1)
     values = np.cumsum(terms, axis=1)
     terms[:, 1:] *= values[:, 1:] if integrand_rule == "current_value" else values[:, :-1]
     np.cumsum(terms, axis=1, out=terms)
-    return terms[np.arange(len(jumps)), np.bincount(row[jumps.times <= t], minlength=len(jumps))]
+    return terms[np.arange(len(jumps)), np.bincount(row[jumps.times <= time], minlength=len(jumps))]
 
 
 def _identity_sums(points: np.ndarray, jumps: JumpTable) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +132,7 @@ def poisson_identity_check(
     reject_coincident_jumps(ens)
 
     left_vals, st_vals = np.empty(n_paths), np.empty(n_paths)
-    for a in range(0, n_paths, _FILL_ROWS):
-        rows = slice(a, a + _FILL_ROWS)
+    for rows in _row_slices(n_paths, _block_rows(4 * grid.n_points)):  # values, shifts, products
         left_vals[rows], st_vals[rows] = _identity_sums(grid.points, ens.jumps[rows])
     # every jump lies in (0, horizon], so X_T is the path's jump count
     k = np.diff(ens.jumps.bounds).astype(float)

@@ -63,11 +63,6 @@ class MeshStudy:
             raise ConsistencyError("squared differences must be nonnegative")
 
 
-# rows per block in riemann_sum: small blocks keep its products in cache
-# (each path's sum is the same at any block size)
-_SUM_ROWS = 128
-
-
 def _require_adapted(phi: PathEnsemble) -> None:
     if not phi.adapted:
         raise AdaptednessError("integrand must be flagged adapted")
@@ -107,7 +102,7 @@ def riemann_sum(
         # depend on its block or its neighbours
         out[sl] = np.add.reduce(pv[:, cols, :][:, :-1, :] * dm[:, :, None], axis=1)
 
-    _run_blocks(sum_block, _blocks(n, phi, m, rows=_SUM_ROWS), n, pi.size)
+    _run_blocks(sum_block, _blocks(n, phi, m), n, pi.size)
     return RiemannSumResult(values=out)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import levyint as li
 from conftest import jump_table
-from levyint import drivers
+from levyint import drivers, ensembles
 from levyint.drivers import reconstruction_residual, reject_coincident_jumps
 from levyint.errors import ConsistencyError, NumericError, ParameterError
 
@@ -320,18 +320,20 @@ _jump_specs = st.one_of(
 
 class TestBlockFill:
     """Grid values filled in row blocks equal each path's values formed on
-    its own, bit for bit, at any block size."""
+    its own, bit for bit, at any block size.  A fill row allocates one value
+    a point, so a budget (``ensembles._BLOCK_BUDGET``) of ``fill_rows`` x
+    points fills ``fill_rows`` rows a block."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_jump_specs, grid=_grids, n_paths=st.integers(1, 600), offset=st.integers(0, 300),
            fill_rows=st.sampled_from([1, 2, 7, 256]))
     def test_jump_values_are_each_records_values(self, spec, grid, n_paths, offset, fill_rows):
-        old = drivers._FILL_ROWS
+        old = ensembles._BLOCK_BUDGET
         try:
-            drivers._FILL_ROWS = fill_rows
+            ensembles._BLOCK_BUDGET = fill_rows * grid.n_points
             ens = li.simulate_paths(spec, grid, n_paths, 9, path_offset=offset)
         finally:
-            drivers._FILL_ROWS = old
+            ensembles._BLOCK_BUDGET = old
         drift = drivers._path_drift(spec) * grid.points
         for row, rec in zip(ens.values[:, :, 0], ens.jumps, strict=True):
             want = _reference_jump_values(rec, grid.points) + drift
@@ -344,12 +346,12 @@ class TestBlockFill:
            spec=st.builds(li.Brownian, volatility=st.sampled_from([0.0, 1.5]),
                           drift=st.sampled_from([0.0, -0.4])))
     def test_brownian_values_are_each_paths_values(self, grid, n_paths, offset, fill_rows, spec):
-        old = drivers._FILL_ROWS
+        old = ensembles._BLOCK_BUDGET
         try:
-            drivers._FILL_ROWS = fill_rows
+            ensembles._BLOCK_BUDGET = fill_rows * grid.n_points
             ens = li.simulate_paths(spec, grid, n_paths, 9, path_offset=offset)
         finally:
-            drivers._FILL_ROWS = old
+            ensembles._BLOCK_BUDGET = old
         want = _reference_brownian(spec, grid, n_paths, 9, offset)
         assert np.array_equal(ens.values[:, :, 0], want)
         assert (np.signbit(ens.values[:, :, 0]) == np.signbit(want)).all()
@@ -400,9 +402,11 @@ class TestBlockFill:
 
         monkeypatch.setattr(li.JumpTable, "__post_init__", counted)
         monkeypatch.setattr(li.JumpTable, "values_at", per_path)
-        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 3 * drivers._FILL_ROWS + 5, 6)
+        # fill blocks of 256 rows, and residual blocks (two values a point) of 128
+        monkeypatch.setattr(ensembles, "_BLOCK_BUDGET", 256 * grid100.n_points)
+        ens = li.simulate_paths(li.CompensatedPoisson(rate=2.0), grid100, 3 * 256 + 5, 6)
         assert reconstruction_residual(li.CompensatedPoisson(rate=2.0), ens) == 0.0
-        assert built == [3 * drivers._FILL_ROWS + 5]
+        assert built == [3 * 256 + 5]
 
     @pytest.mark.parametrize("spec", [li.Brownian(drift=1e308), li.CompensatedPoisson(drift=1e308)],
                              ids=["brownian", "jump"])
@@ -540,8 +544,9 @@ class TestGoldenDigests:
     )
     @pytest.mark.parametrize("fill_rows", [256, 3])
     def test_simulated_blocks(self, monkeypatch, fill_rows, runs, expect):
-        monkeypatch.setattr(drivers, "_FILL_ROWS", fill_rows)
         h = hashlib.sha256()
         for spec, grid, n, offset in runs:
+            # a fill row allocates one value a point
+            monkeypatch.setattr(ensembles, "_BLOCK_BUDGET", fill_rows * grid.n_points)
             _update(h, li.simulate_paths(spec, grid, n, 2026, path_offset=offset))
         assert h.hexdigest() == expect

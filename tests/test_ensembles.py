@@ -164,7 +164,8 @@ class TestContinuityModulus:
         # squared increments near 6.25e8 with a spread near 25: running sums
         # of x and x^2 cancel to SEs of 0, 0, 0 and 5.1e-6 here.  At every
         # block size the SE is the one _moments gives on the whole array.
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        # A block row allocates 10 values: 5 points' increments and squares.
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", rows * 10)
         x = li.simulate_paths(li.Brownian(volatility=1e-3, drift=1e5), li.TimeGrid.uniform(1.0, 4), 2000, 0)
         rep = li.ms_continuity_modulus(x)
         sq = np.diff(x.values[:, :, 0], axis=1) ** 2
@@ -321,7 +322,8 @@ class TestPathEnsemble:
 
         e = li.simulate_paths(li.Brownian(), grid100, 5000, 15)
         full = li.sup_l2_norm(e)
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        # a block row allocates 101 points' copies and squares
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", rows * 202)
         assert li.sup_l2_norm(e) == full
 
     def test_with_values_keeps_everything_but_the_values(self, grid100):
@@ -504,6 +506,24 @@ def _reduction_outputs():
     return out, sums
 
 
+def _identity_outputs():
+    """``(identities, residuals)``: poisson_identity_check's per-path values
+    and residuals, and reconstruction_residual of two jump-driven ensembles,
+    exact and with an error that is largest on the last path, so a block
+    left out shows."""
+    rep = li.poisson_identity_check(2.0, 1.0, 300, 5)
+    identities = [rep.left_sum_values, rep.stieltjes_values, rep.terminal_counts, rep.left_sum_residuals,
+                  rep.stieltjes_residuals, rep.difference_residuals]
+    grid, residuals = li.TimeGrid.uniform(1.0, 24), []
+    for spec in (li.CompensatedPoisson(rate=2.0, drift=0.3),
+                 li.CompoundPoisson(rate=3.0, jump_law=li.NormalJumps(loc=0.2, scale=0.7), drift=-0.4)):
+        x = li.simulate_paths(spec, grid, 300, 6)
+        residuals.append(reconstruction_residual(spec, x))
+        residuals.append(reconstruction_residual(spec, x.with_values(
+            x.values + np.linspace(0.0, 1e-9, 300)[:, None, None])))
+    return identities, residuals
+
+
 def _digest(values):
     h = hashlib.sha256()
     for value in values:
@@ -511,9 +531,15 @@ def _digest(values):
     return h.hexdigest()
 
 
+# block budgets (ensembles._BLOCK_BUDGET) of the whole call, of odd row
+# counts (137 rows of a one-coordinate reduction on 25 points, 91 of two
+# coordinates) and of one row
+_BUDGETS = pytest.mark.parametrize("budget", [2**62, 137 * 50, 1], ids=["whole", "odd", "one_row"])
+
+
 class TestReductionGoldens:
-    """sha256 of every path reduction at three block sizes, in two parts; a
-    change here means the numbers changed.
+    """sha256 of every path reduction at three block budgets, in three parts;
+    a change here means the numbers changed.
 
     ``test_reductions`` covers every output not formed from riemann_sum:
     second moments, moduli, distances, integral processes, the
@@ -532,22 +558,70 @@ class TestReductionGoldens:
     formed from it.  Each path's sum is its own, so one digest holds at every
     block size.  It was recorded when riemann_sum came to add each path's
     terms along time alone: that reordered each path's additions, so their
-    last bits moved."""
+    last bits moved.
 
-    @pytest.mark.parametrize("rows", [4096, 137, 1])
-    def test_reductions(self, monkeypatch, rows):
+    ``test_identities`` covers poisson_identity_check and
+    ``test_reconstruction`` reconstruction_residual, whose blocks of paths
+    give slices (or, for the residual, a max) of the same per-path numbers;
+    their digests were recorded on the blocks of 256 rows that came before
+    the one budget."""
+
+    @_BUDGETS
+    def test_reductions(self, monkeypatch, budget):
         import levyint.ensembles as ens_mod
 
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", budget)
         expect = "bf29df6746a3f29d8960b687d35618e9b2c6c717e14a65461ecd9b4ed93522f0"
         assert _digest(_reduction_outputs()[0]) == expect
 
-    @pytest.mark.parametrize("rows", [4096, 137, 1])
-    def test_sums(self, monkeypatch, rows):
+    @_BUDGETS
+    def test_sums(self, monkeypatch, budget):
         import levyint.ensembles as ens_mod
-        import levyint.riemann as riemann_mod
 
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
-        monkeypatch.setattr(riemann_mod, "_SUM_ROWS", rows)
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", budget)
         expect = "a7a64708ab3419747d5321bbde5742511069bc7ed28192b7e0ab2c6f9798bcc4"
         assert _digest(_reduction_outputs()[1]) == expect
+
+    @_BUDGETS
+    def test_identities(self, monkeypatch, budget):
+        import levyint.ensembles as ens_mod
+
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", budget)
+        expect = "74e8a0cabe78c746a0846a3b9d7c5d68edfe2d62014942f54dcd1577890c9a09"
+        assert _digest(_identity_outputs()[0]) == expect
+
+    @_BUDGETS
+    def test_reconstruction(self, monkeypatch, budget):
+        import levyint.ensembles as ens_mod
+
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", budget)
+        expect = "6eafc47c46fa85f48493aeded08f5a266898e26ac46b761af45bbd04721e3202"
+        assert _digest(_identity_outputs()[1]) == expect
+
+
+@pytest.mark.parametrize("loop, rows", [
+    (lambda x: li.simulate_paths(li.Brownian(), x.grid, 600, 2), 261),
+    (lambda x: li.simulate_paths(li.CompensatedPoisson(rate=2.0), x.grid, 600, 3), 261),
+    (lambda x: li.riemann_sum(x, x, x.grid), 130),
+    (lambda x: li.ito_isometry_check(x, li.Brownian(), x), 130),
+], ids=["brownian_fill", "jump_fill", "riemann_sum", "isometry_rhs"])
+def test_block_rows_at_1001_points(monkeypatch, loop, rows):
+    # at the default budget of 2**18 values, a fill block (one value a point)
+    # holds 261 rows of 1001 points and a block of paired paths (a copy or
+    # difference and one more value a point) 130; the last takes the rest
+    from levyint import drivers, predictability, riemann
+
+    x = li.simulate_paths(li.Brownian(), li.TimeGrid.uniform(1.0, 1000), 600, 1)
+    sizes = []
+
+    def run_blocks(fn, blocks, *gate):
+        blocks = list(blocks)
+        # a fill's blocks are row slices, a paired loop's (slice, values, ...)
+        slices = [b if isinstance(b, slice) else b[0] for b in blocks]
+        sizes.append([sl.stop - sl.start for sl in slices])
+        return [fn(block) for block in blocks]
+
+    for module in (drivers, predictability, riemann):
+        monkeypatch.setattr(module, "_run_blocks", run_blocks)
+    loop(x)
+    assert sizes[-1] == [rows] * (600 // rows) + [600 % rows]

@@ -5,8 +5,7 @@ import pytest
 
 import levyint as li
 from conftest import jump_table
-from levyint import identities
-from levyint.drivers import _FILL_ROWS
+from levyint import ensembles, identities
 from levyint.errors import DomainError, InsufficientDataError, NumericError, ParameterError
 
 
@@ -115,7 +114,9 @@ class TestPoissonIdentityCheck:
         assert np.max(np.abs(gap - rep.terminal_counts)) < 1e-12
 
     def test_no_record_is_built_per_path(self, monkeypatch):
-        # one table for the simulated paths and one per block of rows
+        # one table for the simulated paths and one per block of rows, here
+        # of 256 rows of 17 points (four values a point)
+        monkeypatch.setattr(ensembles, "_BLOCK_BUDGET", 256 * 4 * 17)
         built, init = [], li.JumpTable.__post_init__
 
         def counted(table):
@@ -124,7 +125,7 @@ class TestPoissonIdentityCheck:
 
         monkeypatch.setattr(li.JumpTable, "__post_init__", counted)
         assert li.poisson_identity_check(2.0, 1.0, 600, 3).passed
-        assert built == [600, _FILL_ROWS, _FILL_ROWS, 600 - 2 * _FILL_ROWS]
+        assert built == [600, 256, 256, 600 - 2 * 256]
 
     def test_coincident_jump_guard(self, jump_ensemble_factory):
         grid = li.TimeGrid.uniform(1.0, 4)

@@ -1,8 +1,9 @@
 """Row blocks run on threads give the bits of the same blocks run in order.
 
 Tier-1 inputs mostly fall under the size from which a call's blocks go to
-the pool, so these tests lower that size to 0 and fix the pool at two
-threads, then compare each pooled result with the serial one bit for bit.
+the pool, and within one block, so these tests lower that size to 0, cut
+the block budget and fix the pool at two threads, then compare each pooled
+result with the serial one bit for bit.
 """
 
 import hashlib
@@ -30,9 +31,13 @@ _GRID = li.TimeGrid.uniform(1.0, 40)
 @pytest.fixture
 def pooled(monkeypatch):
     """``pooled(True)`` runs every call of two or more blocks on a fresh
-    two-thread pool, ``pooled(False)`` runs every call in order on this thread."""
+    two-thread pool, ``pooled(False)`` runs every call in order on this thread.
+    Either way the block budget is cut so that small inputs make several
+    blocks: at ``_GRID``'s 41 points a fill block holds 256 rows and a
+    riemann_sum block 128."""
     monkeypatch.setattr(ensembles, "_workers", lambda: 2)
     monkeypatch.setattr(ensembles, "_pool", None)
+    monkeypatch.setattr(ensembles, "_BLOCK_BUDGET", 256 * _GRID.n_points)
 
     def use(on: bool) -> None:
         monkeypatch.setattr(ensembles, "_POOL_ELEMENTS", 0 if on else 2**62)

@@ -27,6 +27,9 @@ def _brownian(n=3, grid=_GRID):
     return li.simulate_paths(li.Brownian(), grid, n, 1)
 
 
+_JUMPS = li.JumpTable(times=[0.25, 0.5, 0.75], sizes=[1.0, 1.0, 1.0], bounds=[0, 2, 3])
+
+
 def _problem(**changes):
     kw = dict(operator=li.heat_operator(2), h0=np.zeros(2), sigmas=(li.constant_map(1.0),),
               sigma_lipschitz=(0.0,), drivers=(li.Brownian(),))
@@ -117,6 +120,12 @@ _CASES = {
                           lambda: li.TimeGrid.uniform(True, 4)),
     "grid_huge_integer_horizon": (GridError, "horizon must be finite and positive",
                                   lambda: li.TimeGrid.uniform(10**400, 4)),
+    "stieltjes_nan_time": (DomainError, "integral time must be finite and nonnegative, got nan",
+                           lambda: li.stieltjes_integral(_JUMPS, np.nan, "left_limit")),
+    "stieltjes_negative_time": (DomainError, "integral time must be finite and nonnegative, got -1.0",
+                                lambda: li.stieltjes_integral(_JUMPS, -1.0, "current_value")),
+    "stieltjes_string_time": (DomainError, "integral time must be finite and nonnegative, got '1.0'",
+                              lambda: li.stieltjes_integral(_JUMPS, "1.0", "left_limit")),
 }
 
 

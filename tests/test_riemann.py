@@ -7,7 +7,6 @@ import pytest
 
 import levyint as li
 import levyint.ensembles as ens_mod
-import levyint.riemann as riemann_mod
 from levyint.cli import main
 from levyint.errors import AdaptednessError, GridError, InsufficientDataError, ParameterError
 
@@ -99,18 +98,18 @@ def _sum_outputs():
 class TestRiemannSumGoldens:
     """sha256 of riemann_sum; a change here means the sums changed.  Each
     path's terms are added along time alone, so one digest holds whatever
-    the rows of the cross-path blocks (``_CHUNK_ROWS``) and of riemann_sum's
-    own blocks (``_SUM_ROWS``), a path alone in its block included.  It was
+    the rows of riemann_sum's blocks, a path alone in its block included:
+    ``rows`` of a one-coordinate sum and two thirds as many of a
+    two-coordinate one, from a budget (``ensembles._BLOCK_BUDGET``) of
+    ``rows`` x 50 values, 25 points' increments and products.  It was
     recorded when riemann_sum came to reduce each path alone; before, a path
     alone in its block summed in another order, so 137 and 1 rows had
     digests of their own (60234fae... and 74b26659...) beside 850e73d3...
     at every other size."""
 
-    @pytest.mark.parametrize("chunk_rows", [4096, 137, 1])
-    @pytest.mark.parametrize("sum_rows", [1, 2, 3, 32, 137, 256, 4096])
-    def test_sums(self, monkeypatch, chunk_rows, sum_rows):
-        monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(riemann_mod, "_SUM_ROWS", sum_rows)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 32, 137, 256, 4096])
+    def test_sums(self, monkeypatch, rows):
+        monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", rows * 50)
         assert _sum_outputs() == "9f8db04ab94e09ca08e124e7fba766f5dd2bf5201f7963bd3b8ea570544075c1"
 
 
@@ -199,7 +198,8 @@ class TestIntegralProcess:
         phi, m = _drifted_pair()
         signs = []
         for rows in (4096, 137):
-            monkeypatch.setattr(ens_mod, "_CHUNK_ROWS", rows)
+            # a block row counts two values at each of 5 points
+            monkeypatch.setattr(ens_mod, "_BLOCK_BUDGET", rows * 10)
             signs.append(np.sign(li.increment_independence_z(phi, m)).tolist())
         assert signs[0] == signs[1]
 
